@@ -2,37 +2,26 @@
 """Run the full model chain at the default parameter set and print the
 headline numbers: transparency width, blockade radius, hard-sphere estimate,
 radius-resolved controlled phase, sign asymmetry, and a simulated tomography
-of the stored-excitation phase."""
+of the stored-excitation phase (the run of ``rydberg-xpm tomography --seed 7``)."""
 
 from dataclasses import replace
 
-from rydberg_xpm import defaults
-from rydberg_xpm.blockade import (
-    blockade_radius,
-    hard_sphere_controlled_phase,
-    integrated_phase,
-)
+from rydberg_xpm.blockade import blockade_radius, hard_sphere_controlled_phase
+from rydberg_xpm.cli import medium_response, operating_spectra
+from rydberg_xpm.config import RunConfig
 from rydberg_xpm.constants import mhz_from_angular
-from rydberg_xpm.photostatistics import (
-    ExperimentConfig,
-    estimate_stokes,
-    simulate_batch,
-    truth_stokes,
-)
+from rydberg_xpm.photostatistics import estimate_stokes, simulate_batch, truth_stokes
 from rydberg_xpm.polarization import balanced_input_state, visibility
-from rydberg_xpm.susceptibility import spectrum, transmission_fwhm, two_level
+from rydberg_xpm.susceptibility import transmission_fwhm
 
 
 def main() -> None:
-    params = defaults.eit_params()
-    geom = defaults.geometry()
-    blk = defaults.blockade_params()
-    ds_op = defaults.operating_detuning()
+    cfg = RunConfig({"statistics": {"rng_seed": 7}})
+    geom, blk = cfg.geometry(), cfg.blockade()
 
-    delta_t = transmission_fwhm(params, geom)
+    delta_t = transmission_fwhm(cfg.eit_params(), geom)
     r_b = blockade_radius(blk.c6, delta_t)
-    eit = spectrum(params, geom, [ds_op])
-    ref = spectrum(two_level(params), geom, [ds_op])
+    eit, ref = operating_spectra(cfg)
     phi_eit, phi_ref = float(eit.phase[0]), float(ref.phase[0])
 
     print(f"transparency feature width     : {mhz_from_angular(delta_t):.3f} MHz")
@@ -44,27 +33,25 @@ def main() -> None:
     print(f"hard-sphere controlled phase   : "
           f"{hard_sphere_controlled_phase(r_b, geom, phi_ref, phi_eit):.3f} rad")
 
-    od0, phi0 = integrated_phase(params, geom, blk, ds_op, 0)
-    od1, phi1 = integrated_phase(params, geom, blk, ds_op, 1)
+    od0, phi0, od1, phi1 = medium_response(cfg, blk)
     print(f"radius-resolved integral       : {phi1 - phi0:.3f} rad "
           f"(od0 {od0:.3f}, od1 {od1:.3f})")
 
-    rev = replace(blk, sign_reversed=True)
-    _, phi0r = integrated_phase(params, geom, rev, ds_op, 0)
-    _, phi1r = integrated_phase(params, geom, rev, ds_op, 1)
+    _, phi0r, _, phi1r = medium_response(cfg, replace(blk, sign_reversed=True))
     print(f"sign-reversed controlled phase : {abs(phi1r - phi0r):.3f} rad "
           f"(ratio {abs(phi1 - phi0) / abs(phi1r - phi0r):.2f})")
 
-    cfg = ExperimentConfig(repetitions=300_000, rng_seed=7, coherence_factor=0.75)
+    exp_cfg = cfg.experiment()
     state = balanced_input_state(od1)
     summary = estimate_stokes(
-        simulate_batch(cfg, (od0, phi0, od1, phi1), state), postselect=True
+        simulate_batch(exp_cfg, (od0, phi0, od1, phi1), state),
+        postselect=cfg.raw["statistics"]["postselect"],
     )
-    truth = truth_stokes(cfg, od1, phi1, state)
+    truth = truth_stokes(exp_cfg, od1, phi1, state)
     print(f"tomography azimuth             : {summary.stokes.phi:+.3f} rad "
           f"(truth {truth.phi:+.3f}, {summary.n_postselected} postselected shots)")
     print(f"tomography visibility          : {visibility(summary.stokes):.3f} "
-          f"(coherence factor {cfg.coherence_factor})")
+          f"(coherence factor {exp_cfg.coherence_factor})")
 
 
 if __name__ == "__main__":

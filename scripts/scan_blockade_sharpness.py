@@ -10,32 +10,26 @@ import warnings
 from dataclasses import replace
 
 from rydberg_xpm import defaults
-from rydberg_xpm.blockade import (
-    blockade_radius,
-    hard_sphere_controlled_phase,
-    integrated_phase,
-)
+from rydberg_xpm.blockade import blockade_radius, hard_sphere_controlled_phase
+from rydberg_xpm.cli import medium_response, operating_spectra
+from rydberg_xpm.config import RunConfig
 from rydberg_xpm.constants import angular_from_mhz
 from rydberg_xpm.errors import BlockadeClampWarning
-from rydberg_xpm.susceptibility import spectrum, two_level
 
 
 def main() -> None:
-    params = defaults.eit_params()
-    geom = defaults.geometry()
-    blk = defaults.blockade_params()
-    ds_op = defaults.operating_detuning()
+    cfg = RunConfig()
+    geom, blk = cfg.geometry(), cfg.blockade()
     delta_t = angular_from_mhz(defaults.FEATURE_FWHM_MHZ)
 
-    phi_eit = float(spectrum(params, geom, [ds_op]).phase[0])
-    phi_ref = float(spectrum(two_level(params), geom, [ds_op]).phase[0])
+    eit, ref = operating_spectra(cfg)
+    phi_eit, phi_ref = float(eit.phase[0]), float(ref.phase[0])
 
     print(f"{'scale':>6} {'R_b (um)':>9} {'integral':>9} {'box':>9} {'rel diff':>9}")
     for scale in (1, 2, 4, 16, 64, 256, 1024):
         scaled = replace(blk, c6=blk.c6 * scale)
         r_b = blockade_radius(scaled.c6, delta_t)
-        _, phi0 = integrated_phase(params, geom, scaled, ds_op, 0)
-        _, phi1 = integrated_phase(params, geom, scaled, ds_op, 1)
+        _, phi0, _, phi1 = medium_response(cfg, scaled)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BlockadeClampWarning)
             box = hard_sphere_controlled_phase(r_b, geom, phi_ref, phi_eit)

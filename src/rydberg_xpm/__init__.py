@@ -29,13 +29,10 @@ from .fitting import FitParameters, FitResult, SpectrumData, fit_spectrum, predi
 from .photostatistics import (
     CountSummary,
     ExperimentConfig,
-    ShotRecord,
-    ShotStream,
     estimate_stokes,
     output_state,
     retrieval_efficiency,
     simulate_batch,
-    simulate_shot,
     truth_stokes,
 )
 from .polarization import (
@@ -72,8 +69,6 @@ __all__ = [
     "MediumGeometry",
     "PhysicalConstants",
     "PolarizationState",
-    "ShotRecord",
-    "ShotStream",
     "SpectrumData",
     "SpectrumTable",
     "StokesVector",
@@ -98,7 +93,6 @@ __all__ = [
     "retrieval_efficiency",
     "truth_stokes",
     "simulate_batch",
-    "simulate_shot",
     "spectrum",
     "stokes",
     "transmission",

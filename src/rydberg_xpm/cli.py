@@ -20,11 +20,13 @@ import os
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .blockade import (
+    BlockadeParams,
     blockade_radius,
     density_scan,
     hard_sphere_controlled_phase,
@@ -45,6 +47,7 @@ from .fitting import SpectrumData, fit_spectrum
 from .photostatistics import (
     estimate_stokes,
     retrieval_efficiency,
+    retrieval_time_constant,
     simulate_batch,
     truth_stokes,
 )
@@ -74,28 +77,42 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+def _csv(header: list[str], columns: list[np.ndarray]) -> str:
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: str, payload: dict, cfg: RunConfig) -> None:
+def _json(payload: dict, cfg: RunConfig) -> str:
     payload = dict(payload)
     payload["config_echo"] = cfg.raw
     payload["version"] = __version__
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
+def operating_spectra(cfg: RunConfig) -> tuple:
+    """EIT and two-level spectra (SpectrumTable) at the operating detuning."""
+    params, geom, ds = cfg.eit_params(), cfg.geometry(), [cfg.delta_s]
+    return spectrum(params, geom, ds), spectrum(two_level(params), geom, ds)
+
+
+def medium_response(cfg: RunConfig, blk: BlockadeParams) -> tuple:
+    """(od0, phi0, od1, phi1): the radius-resolved optical depth and phase
+    without and with a stored excitation."""
+    params, geom, ds = cfg.eit_params(), cfg.geometry(), cfg.delta_s
+    od0, phi0 = integrated_phase(params, geom, blk, ds, 0)
+    od1, phi1 = integrated_phase(params, geom, blk, ds, 1)
+    return od0, phi0, od1, phi1
+
+
+def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     params = cfg.eit_params()
     geom = cfg.geometry()
     grid = cfg.spectrum_grid()
     eit = spectrum(params, geom, grid)
     ref = spectrum(two_level(params), geom, grid)
-    _write_csv(
-        os.path.join(outdir, "spectrum.csv"),
+    table = _csv(
         ["delta_s_mhz", "transmission_eit", "phase_eit_rad",
          "transmission_two_level", "phase_two_level_rad"],
         [grid / (2e6 * math.pi), np.atleast_1d(eit.transmission),
@@ -106,9 +123,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
         delta_t_mhz = mhz_from_angular(transmission_fwhm(params, geom))
     except NoEITFeatureError:
         delta_t_mhz = None
-    ds_op = cfg.delta_s
-    op = spectrum(params, geom, [ds_op])
-    op_ref = spectrum(two_level(params), geom, [ds_op])
+    op, op_ref = operating_spectra(cfg)
     summary = {
         "delta_t_mhz": delta_t_mhz,
         "operating_delta_s_mhz": cfg.raw["physics"]["delta_s_mhz"],
@@ -116,19 +131,12 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
         "transmission_at_operating": float(op.transmission[0]),
         "phi_two_level_at_operating_rad": float(op_ref.phase[0]),
     }
-    _write_json(os.path.join(outdir, "spectrum_summary.json"), summary, cfg)
-    return EXIT_OK
+    return {"spectrum.csv": table, "spectrum_summary.json": _json(summary, cfg)}
 
 
 def _phase_block(cfg: RunConfig, sign_reversed: bool) -> dict:
-    params = cfg.eit_params()
-    geom = cfg.geometry()
-    blk = cfg.blockade()
-    from dataclasses import replace
-
-    blk = replace(blk, sign_reversed=sign_reversed)
-    od0, phi0 = integrated_phase(params, geom, blk, cfg.delta_s, 0)
-    od1, phi1 = integrated_phase(params, geom, blk, cfg.delta_s, 1)
+    blk = replace(cfg.blockade(), sign_reversed=sign_reversed)
+    od0, phi0, od1, phi1 = medium_response(cfg, blk)
     return {
         "od0": od0,
         "phi0_rad": phi0,
@@ -138,7 +146,7 @@ def _phase_block(cfg: RunConfig, sign_reversed: bool) -> dict:
     }
 
 
-def cmd_blockade_phase(cfg: RunConfig, outdir: str) -> int:
+def cmd_blockade_phase(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     params = cfg.eit_params()
     geom = cfg.geometry()
     blk = cfg.blockade()
@@ -149,9 +157,7 @@ def cmd_blockade_phase(cfg: RunConfig, outdir: str) -> int:
         delta_t = None
         delta_t_mhz = None
     r_b = blockade_radius(blk.c6, delta_t) if (delta_t and blk.c6 > 0) else 0.0
-    ds_op = cfg.delta_s
-    eit_tab = spectrum(params, geom, [ds_op])
-    ref_tab = spectrum(two_level(params), geom, [ds_op])
+    eit_tab, ref_tab = operating_spectra(cfg)
     phi_eit = float(eit_tab.phase[0])
     phi_ref = float(ref_tab.phase[0])
     hard_sphere = hard_sphere_controlled_phase(r_b, geom, phi_ref, phi_eit)
@@ -173,17 +179,15 @@ def cmd_blockade_phase(cfg: RunConfig, outdir: str) -> int:
         "integral_sign_reversed": reverse,
         "forward_to_reversed_ratio": ratio,
     }
-    _write_json(os.path.join(outdir, "blockade_phase.json"), payload, cfg)
-    return EXIT_OK
+    return {"blockade_phase.json": _json(payload, cfg)}
 
 
-def cmd_density_scan(cfg: RunConfig, outdir: str) -> int:
+def cmd_density_scan(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     scan = density_scan(
         cfg.eit_params(), cfg.geometry(), cfg.blockade(), cfg.delta_s,
         cfg.density_grid(),
     )
-    _write_csv(
-        os.path.join(outdir, "density_scan.csv"),
+    table = _csv(
         ["rho_cm3", "phase0_rad", "phase1_rad", "controlled_phase_rad"],
         [scan.rho / 1e6, scan.phase0, scan.phase1, scan.controlled_phase],
     )
@@ -200,16 +204,11 @@ def cmd_density_scan(cfg: RunConfig, outdir: str) -> int:
         "fit_controlled_phase": fit_dict(scan.fit_controlled),
         "controlled_phase_at_max_density_rad": float(scan.controlled_phase[-1]),
     }
-    _write_json(os.path.join(outdir, "density_scan.json"), payload, cfg)
-    return EXIT_OK
+    return {"density_scan.csv": table, "density_scan.json": _json(payload, cfg)}
 
 
-def cmd_tomography(cfg: RunConfig, outdir: str) -> int:
-    params = cfg.eit_params()
-    geom = cfg.geometry()
-    blk = cfg.blockade()
-    od0, phi0 = integrated_phase(params, geom, blk, cfg.delta_s, 0)
-    od1, phi1 = integrated_phase(params, geom, blk, cfg.delta_s, 1)
+def cmd_tomography(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+    od0, phi0, od1, phi1 = medium_response(cfg, cfg.blockade())
     exp_cfg = cfg.experiment()
     input_state = balanced_input_state(od1)
     batch = simulate_batch(exp_cfg, (od0, phi0, od1, phi1), input_state)
@@ -233,8 +232,7 @@ def cmd_tomography(cfg: RunConfig, outdir: str) -> int:
             "azimuth_rad": truth.phi, "visibility": visibility(truth),
         },
     }
-    _write_json(os.path.join(outdir, "tomography.json"), payload, cfg)
-    return EXIT_OK
+    return {"tomography.json": _json(payload, cfg)}
 
 
 def _read_spectrum_csv(path: str) -> SpectrumData:
@@ -266,8 +264,8 @@ def _read_spectrum_csv(path: str) -> SpectrumData:
     )
 
 
-def cmd_fit(cfg: RunConfig, outdir: str, input_csv: str) -> int:
-    data = _read_spectrum_csv(input_csv)
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+    data = _read_spectrum_csv(args.input)
     fit_cfg = cfg.raw["fit"]
     result = fit_spectrum(
         data,
@@ -297,33 +295,34 @@ def cmd_fit(cfg: RunConfig, outdir: str, input_csv: str) -> int:
         "gradient_norm": result.gradient_norm,
         "converged": result.converged,
     }
-    _write_json(os.path.join(outdir, "fit.json"), payload, cfg)
-    return EXIT_OK
+    return {"fit.json": _json(payload, cfg)}
 
 
-def cmd_retrieval(cfg: RunConfig, outdir: str) -> int:
+def cmd_retrieval(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     exp_cfg = cfg.experiment()
     g = cfg.raw["retrieval_grid"]
     delays = np.linspace(0.0, g["max_us"] * 1e-6, g["points"])
     eta = np.array([retrieval_efficiency(exp_cfg, t) for t in delays])
-    _write_csv(
-        os.path.join(outdir, "retrieval.csv"),
-        ["delay_us", "efficiency"],
-        [delays * 1e6, eta],
-    )
-    eta0 = exp_cfg.storage_retrieval_efficiency_zero_delay
-    etad = exp_cfg.storage_retrieval_efficiency_delayed
-    tau = (
-        exp_cfg.delayed_at / math.log(eta0 / etad) if 0 < etad < eta0 else None
-    )
+    table = _csv(["delay_us", "efficiency"], [delays * 1e6, eta])
+    tau = retrieval_time_constant(exp_cfg)
     payload = {
-        "efficiency_zero_delay": eta0,
-        "efficiency_delayed": etad,
+        "efficiency_zero_delay": exp_cfg.storage_retrieval_efficiency_zero_delay,
+        "efficiency_delayed": exp_cfg.storage_retrieval_efficiency_delayed,
         "delayed_at_us": exp_cfg.delayed_at * 1e6,
-        "tau_us": tau * 1e6 if tau is not None else None,
+        "tau_us": tau * 1e6 if 0.0 < tau < math.inf else None,
     }
-    _write_json(os.path.join(outdir, "retrieval.json"), payload, cfg)
-    return EXIT_OK
+    return {"retrieval.csv": table, "retrieval.json": _json(payload, cfg)}
+
+
+# subcommand -> handler(config, parsed arguments) -> {output file name: text}
+COMMANDS = {
+    "spectrum": cmd_spectrum,
+    "blockade-phase": cmd_blockade_phase,
+    "density-scan": cmd_density_scan,
+    "tomography": cmd_tomography,
+    "fit": cmd_fit,
+    "retrieval": cmd_retrieval,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "blockade-phase", "density-scan", "tomography",
-                 "fit", "retrieval"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file (defaults built in)")
         sp.add_argument("--output-dir", default=".", help="directory for outputs")
@@ -353,23 +351,13 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("statistics.rng_seed", "must be non-negative")
             cfg.raw["statistics"]["rng_seed"] = args.seed
-        outdir = args.output_dir
-        os.makedirs(outdir, exist_ok=True)
+        os.makedirs(args.output_dir, exist_ok=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # model-limit warnings are not CLI errors
-            if args.command == "spectrum":
-                return cmd_spectrum(cfg, outdir)
-            if args.command == "blockade-phase":
-                return cmd_blockade_phase(cfg, outdir)
-            if args.command == "density-scan":
-                return cmd_density_scan(cfg, outdir)
-            if args.command == "tomography":
-                return cmd_tomography(cfg, outdir)
-            if args.command == "fit":
-                return cmd_fit(cfg, outdir, args.input)
-            if args.command == "retrieval":
-                return cmd_retrieval(cfg, outdir)
-            raise AssertionError(f"unhandled command {args.command}")
+            outputs = COMMANDS[args.command](cfg, args)
+        for name, text in outputs.items():
+            _write_atomic(os.path.join(args.output_dir, name), text)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,9 +1,10 @@
 """Run configuration: one self-describing JSON document.
 
-All physical defaults equal the modeled experiment's values (see
-``defaults``); frequencies are plain MHz, lengths um, densities cm^-3 --
-conversion to angular/SI units happens here and nowhere else.  Unknown keys
-are rejected with the dotted path of the offending key.
+Every key defaults to the modeled experiment's value in ``defaults``;
+frequencies are plain MHz, lengths um, densities cm^-3 -- ``RunConfig``
+converts them to angular/SI units and is the one builder of the model
+objects.  Unknown keys are rejected with the dotted path of the offending
+key.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import numpy as np
 
 from . import defaults
 from .blockade import BlockadeParams
-from .constants import TWO_PI, angular_from_mhz, c6_from_atomic_units
+from .constants import (
+    CONSTANTS,
+    RB87_D2_CYCLING_DIPOLE,
+    TWO_PI,
+    angular_from_mhz,
+    c6_from_atomic_units,
+)
 from .errors import ConfigError
 from .fitting import FitParameters
 from .photostatistics import ExperimentConfig
@@ -28,118 +35,79 @@ _NONNEG = ("non-negative", lambda v: v >= 0)
 _UNIT = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _ANY = ("finite", lambda v: True)
 
-# section -> key -> (python types, (description, predicate))
-_SCHEMA: dict[str, dict[str, tuple[tuple[type, ...], tuple]]] = {
+# section -> key -> (default, (description, predicate)); a key accepts the
+# type of its default, and a float default accepts ints as well
+_TABLE: dict[str, dict[str, tuple[Any, tuple]]] = {
     "physics": {
-        "excited_lifetime_ns": ((int, float), _POS),
-        "gamma_rg_mhz": ((int, float), _NONNEG),
-        "omega_c_mhz": ((int, float), _NONNEG),
-        "delta_c_mhz": ((int, float), _ANY),
-        "delta_s_mhz": ((int, float), _ANY),
-        "density_cm3": ((int, float), _POS),
-        "dipole_moment_cm": ((int, float), _POS),
-        "signal_wavelength_nm": ((int, float), _POS),
+        "excited_lifetime_ns": (defaults.EXCITED_LIFETIME_NS, _POS),
+        "gamma_rg_mhz": (defaults.GAMMA_RG_MHZ, _NONNEG),
+        "omega_c_mhz": (defaults.OMEGA_C_MHZ, _NONNEG),
+        "delta_c_mhz": (defaults.DELTA_C_MHZ, _ANY),
+        "delta_s_mhz": (defaults.DELTA_S_OPERATING_MHZ, _ANY),
+        "density_cm3": (defaults.DENSITY_CM3, _POS),
+        "dipole_moment_cm": (RB87_D2_CYCLING_DIPOLE, _POS),
+        "signal_wavelength_nm": (CONSTANTS.signal_wavelength * 1e9, _POS),
     },
     "geometry": {
-        "length_um": ((int, float), _POS),
-        "excitation_z_um": ((int, float), _NONNEG),
+        "length_um": (defaults.LENGTH_UM, _POS),
+        "excitation_z_um": (defaults.EXCITATION_Z_UM, _NONNEG),
     },
     "blockade": {
-        "c6_atomic_units": ((int, float), _NONNEG),
-        "sign_reversed": ((bool,), _ANY),
+        "c6_atomic_units": (defaults.C6_ATOMIC_UNITS, _NONNEG),
+        "sign_reversed": (defaults.SIGN_REVERSED, _ANY),
     },
     "spectrum_grid": {
-        "min_mhz": ((int, float), _ANY),
-        "max_mhz": ((int, float), _ANY),
-        "points": ((int,), _POS),
+        "min_mhz": (defaults.SPECTRUM_MIN_MHZ, _ANY),
+        "max_mhz": (defaults.SPECTRUM_MAX_MHZ, _ANY),
+        "points": (defaults.SPECTRUM_POINTS, _POS),
     },
     "density_grid": {
-        "min_cm3": ((int, float), _POS),
-        "max_cm3": ((int, float), _POS),
-        "points": ((int,), _POS),
+        "min_cm3": (defaults.DENSITY_MIN_CM3, _POS),
+        "max_cm3": (defaults.DENSITY_CM3, _POS),
+        "points": (defaults.DENSITY_POINTS, _POS),
     },
     "statistics": {
-        "mean_photons_control": ((int, float), _NONNEG),
-        "mean_photons_target": ((int, float), _NONNEG),
-        "detection_efficiency": ((int, float), _UNIT),
-        "storage_retrieval_efficiency_zero_delay": ((int, float), _UNIT),
-        "storage_retrieval_efficiency_delayed": ((int, float), _UNIT),
-        "delayed_at_us": ((int, float), _POS),
-        "delay_us": ((int, float), _NONNEG),
-        "repetitions": ((int,), _POS),
-        "rng_seed": ((int,), _NONNEG),
-        "postselect": ((bool,), _ANY),
-        "basis_mode": ((str,), ("'round_robin' or 'random'",
-                                lambda v: v in ("round_robin", "random"))),
-        "sigma_plus_suppression": ((int, float), ("greater than 1", lambda v: v > 1)),
-        "coherence_factor": ((int, float), _UNIT),
+        "mean_photons_control": (defaults.MEAN_PHOTONS_CONTROL, _NONNEG),
+        "mean_photons_target": (defaults.MEAN_PHOTONS_TARGET, _NONNEG),
+        "detection_efficiency": (defaults.DETECTION_EFFICIENCY, _UNIT),
+        "storage_retrieval_efficiency_zero_delay": (
+            defaults.STORAGE_RETRIEVAL_EFFICIENCY_ZERO_DELAY, _UNIT),
+        "storage_retrieval_efficiency_delayed": (
+            defaults.STORAGE_RETRIEVAL_EFFICIENCY_DELAYED, _UNIT),
+        "delayed_at_us": (defaults.DELAYED_AT_US, _POS),
+        "delay_us": (defaults.DELAY_US, _NONNEG),
+        "repetitions": (defaults.REPETITIONS, _POS),
+        "rng_seed": (defaults.RNG_SEED, _NONNEG),
+        "postselect": (defaults.POSTSELECT, _ANY),
+        "basis_mode": (defaults.BASIS_MODE, ("'round_robin' or 'random'",
+                                             lambda v: v in ("round_robin", "random"))),
+        "sigma_plus_suppression": (defaults.SIGMA_PLUS_SUPPRESSION,
+                                   ("greater than 1", lambda v: v > 1)),
+        "coherence_factor": (defaults.COHERENCE_FACTOR, _UNIT),
     },
     "fit": {
-        "initial_od_res": ((int, float), _POS),
-        "initial_omega_c_mhz": ((int, float), _POS),
-        "initial_gamma_rg_mhz": ((int, float), _POS),
-        "initial_delta_c_mhz": ((int, float), _ANY),
-        "include_phase": ((bool,), _ANY),
-        "max_iterations": ((int,), _POS),
+        "initial_od_res": (defaults.FIT_OD_RES, _POS),
+        "initial_omega_c_mhz": (defaults.FIT_OMEGA_C_MHZ, _POS),
+        "initial_gamma_rg_mhz": (defaults.FIT_GAMMA_RG_MHZ, _POS),
+        "initial_delta_c_mhz": (defaults.FIT_DELTA_C_MHZ, _ANY),
+        "include_phase": (defaults.FIT_INCLUDE_PHASE, _ANY),
+        "max_iterations": (defaults.FIT_MAX_ITERATIONS, _POS),
     },
     "retrieval_grid": {
-        "max_us": ((int, float), _POS),
-        "points": ((int,), _POS),
+        "max_us": (defaults.RETRIEVAL_MAX_US, _POS),
+        "points": (defaults.RETRIEVAL_POINTS, _POS),
     },
 }
 
 DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
-    "physics": {
-        "excited_lifetime_ns": defaults.EXCITED_LIFETIME_NS,
-        "gamma_rg_mhz": defaults.GAMMA_RG_MHZ,
-        "omega_c_mhz": defaults.OMEGA_C_MHZ,
-        "delta_c_mhz": defaults.DELTA_C_MHZ,
-        "delta_s_mhz": defaults.DELTA_S_OPERATING_MHZ,
-        "density_cm3": defaults.DENSITY_CM3,
-        "dipole_moment_cm": 2.534e-29,
-        "signal_wavelength_nm": 780.0,
-    },
-    "geometry": {
-        "length_um": defaults.LENGTH_UM,
-        "excitation_z_um": defaults.LENGTH_UM / 2.0,
-    },
-    "blockade": {
-        "c6_atomic_units": defaults.C6_ATOMIC_UNITS,
-        "sign_reversed": False,
-    },
-    "spectrum_grid": {"min_mhz": -30.0, "max_mhz": 30.0, "points": 241},
-    "density_grid": {"min_cm3": 2.0e11, "max_cm3": 1.8e12, "points": 9},
-    "statistics": {
-        "mean_photons_control": 0.6,
-        "mean_photons_target": 0.9,
-        "detection_efficiency": 0.25,
-        "storage_retrieval_efficiency_zero_delay": 0.2,
-        "storage_retrieval_efficiency_delayed": 0.07,
-        "delayed_at_us": 4.5,
-        "delay_us": 0.0,
-        "repetitions": 60000,
-        "rng_seed": 12345,
-        "postselect": True,
-        "basis_mode": "round_robin",
-        "sigma_plus_suppression": 15.0,
-        # phenomenological; reproduces the measured fringe visibility 0.75
-        "coherence_factor": 0.75,
-    },
-    "fit": {
-        "initial_od_res": 30.0,
-        "initial_omega_c_mhz": 12.0,
-        "initial_gamma_rg_mhz": 0.3,
-        "initial_delta_c_mhz": 9.0,
-        "include_phase": False,
-        "max_iterations": 500,
-    },
-    "retrieval_grid": {"max_us": 10.0, "points": 101},
+    section: {key: default for key, (default, _) in keys.items()}
+    for section, keys in _TABLE.items()
 }
 
 
 def _validate(raw: dict, schema=None, prefix: str = "") -> None:
     if schema is None:
-        schema = _SCHEMA
+        schema = _TABLE
     if not isinstance(raw, dict):
         raise ConfigError(prefix.rstrip(".") or "<root>", "expected a JSON object")
     for key, value in raw.items():
@@ -150,7 +118,8 @@ def _validate(raw: dict, schema=None, prefix: str = "") -> None:
         if isinstance(spec, dict):
             _validate(value, spec, prefix=f"{path}.")
             continue
-        types, (desc, pred) = spec
+        default, (desc, pred) = spec
+        types = (int, float) if isinstance(default, float) else (type(default),)
         # bool is an int subclass; keep the two distinct
         if isinstance(value, bool) and bool not in types:
             raise ConfigError(path, f"expected {types[0].__name__}, got bool")
@@ -238,25 +207,12 @@ class RunConfig:
         return 1e6 * np.linspace(g["min_cm3"], g["max_cm3"], g["points"])
 
     def experiment(self) -> ExperimentConfig:
-        s = self.raw["statistics"]
-        return ExperimentConfig(
-            mean_photons_control=s["mean_photons_control"],
-            mean_photons_target=s["mean_photons_target"],
-            detection_efficiency=s["detection_efficiency"],
-            storage_retrieval_efficiency_zero_delay=s[
-                "storage_retrieval_efficiency_zero_delay"
-            ],
-            storage_retrieval_efficiency_delayed=s[
-                "storage_retrieval_efficiency_delayed"
-            ],
-            delayed_at=s["delayed_at_us"] * 1e-6,
-            delay=s["delay_us"] * 1e-6,
-            repetitions=s["repetitions"],
-            rng_seed=s["rng_seed"],
-            basis_mode=s["basis_mode"],
-            sigma_plus_suppression=s["sigma_plus_suppression"],
-            coherence_factor=s["coherence_factor"],
-        )
+        # the statistics keys are ExperimentConfig's fields, but for the two
+        # delays (us here, s there) and postselect, a choice of the analysis
+        s = dict(self.raw["statistics"])
+        del s["postselect"]
+        delayed_at, delay = s.pop("delayed_at_us") * 1e-6, s.pop("delay_us") * 1e-6
+        return ExperimentConfig(delayed_at=delayed_at, delay=delay, **s)
 
     def fit_initial(self) -> FitParameters:
         f = self.raw["fit"]

@@ -21,11 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import defaults
 from .constants import EPSILON_0, HBAR, RB87_D2_CYCLING_DIPOLE
 from .errors import DegenerateJacobianError, FitNonConvergenceError
 from .susceptibility import EITParams, MediumGeometry, SpectrumTable, spectrum
 
-GAMMA_E_DEFAULT = 1.0 / 26e-9  # rad/s, intermediate-state decay rate
+# rad/s, intermediate-state decay rate
+GAMMA_E_DEFAULT = 1.0 / (defaults.EXCITED_LIFETIME_NS * 1e-9)
 _COST_RTOL = 1e-10
 _GRAD_TOL = 1e-8
 _FD_SCALE = 1e-6
@@ -90,7 +92,7 @@ def params_to_eit(
 ) -> tuple[EITParams, MediumGeometry]:
     """Build model inputs whose resonant optical depth equals od_res."""
     if geom is None:
-        geom = MediumGeometry(length=61e-6)
+        geom = MediumGeometry(length=defaults.LENGTH_UM * 1e-6)
     chi0_target = params.od_res / (geom.k_s * geom.length)
     rho = chi0_target * EPSILON_0 * HBAR * gamma_e / (2.0 * d_eg**2)
     eit = EITParams(
@@ -157,7 +159,7 @@ def fit_spectrum(
     initial: FitParameters,
     bounds: tuple[FitParameters, FitParameters] | None = None,
     include_phase: bool = False,
-    max_iterations: int = 500,
+    max_iterations: int = defaults.FIT_MAX_ITERATIONS,
     gamma_e: float = GAMMA_E_DEFAULT,
     geom: MediumGeometry | None = None,
 ) -> FitResult:

@@ -12,7 +12,8 @@ probability, and analysis may postselect on retrieval.
 
 Randomness is counter-based: shot i consumes exactly two Philox counter
 blocks (eight 64-bit words) keyed by the seed, so any batch, chunked or
-parallel evaluation order yields bit-identical records.
+parallel evaluation order yields bit-identical shots; a single shot i is
+``simulate_batch(..., start_index=i, n=1)``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import defaults
 from .errors import InsufficientStatisticsError
 from .polarization import PolarizationState, StokesVector, apply_medium
 
@@ -35,23 +37,26 @@ _BLOCKS_PER_SHOT = 2  # 8 uniforms per shot
 class ExperimentConfig:
     """Source, loss and repetition parameters of the counting experiment."""
 
-    mean_photons_control: float = 0.6
-    mean_photons_target: float = 0.9
-    detection_efficiency: float = 0.25
-    storage_retrieval_efficiency_zero_delay: float = 0.2
-    storage_retrieval_efficiency_delayed: float = 0.07
-    delayed_at: float = 4.5e-6  # [s] delay at which the delayed efficiency holds
-    delay: float = 0.0  # [s] storage-to-retrieval delay of this run
-    repetitions: int = 10000
-    rng_seed: int = 12345
-    # p_store defaults to sqrt(eta(0)): symmetric split of the combined
-    # storage-and-retrieval efficiency (only the product is constrained)
-    storage_probability: float | None = None
-    basis_mode: str = "round_robin"  # or "random"
-    sigma_plus_suppression: float = math.inf
+    mean_photons_control: float = defaults.MEAN_PHOTONS_CONTROL
+    mean_photons_target: float = defaults.MEAN_PHOTONS_TARGET
+    detection_efficiency: float = defaults.DETECTION_EFFICIENCY
+    storage_retrieval_efficiency_zero_delay: float = (
+        defaults.STORAGE_RETRIEVAL_EFFICIENCY_ZERO_DELAY
+    )
+    storage_retrieval_efficiency_delayed: float = (
+        defaults.STORAGE_RETRIEVAL_EFFICIENCY_DELAYED
+    )
+    # [s] delay at which the delayed efficiency holds
+    delayed_at: float = defaults.DELAYED_AT_US * 1e-6
+    delay: float = defaults.DELAY_US * 1e-6  # [s] storage-to-retrieval delay
+    repetitions: int = defaults.REPETITIONS
+    rng_seed: int = defaults.RNG_SEED
+    basis_mode: str = defaults.BASIS_MODE  # "round_robin" or "random"
+    # residual phase of sigma+ is phi_minus / sigma_plus_suppression
+    sigma_plus_suppression: float = defaults.SIGMA_PLUS_SUPPRESSION
     # phenomenological dephasing: scales the sigma+/sigma- coherence entering
     # the port powers; 1 is a pure state, smaller values depolarize (s0 < 1)
-    coherence_factor: float = 1.0
+    coherence_factor: float = defaults.COHERENCE_FACTOR
 
     def __post_init__(self):
         for name in ("mean_photons_control", "mean_photons_target"):
@@ -71,52 +76,48 @@ class ExperimentConfig:
             raise ValueError("delays must be non-negative (delayed_at positive)")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.storage_probability is not None and not 0.0 < self.storage_probability <= 1.0:
-            raise ValueError("storage_probability must be in (0, 1]")
         if self.basis_mode not in ("round_robin", "random"):
             raise ValueError(f"unknown basis_mode {self.basis_mode!r}")
         if not 0.0 <= self.coherence_factor <= 1.0:
             raise ValueError("coherence_factor must be in [0, 1]")
+        if not self.sigma_plus_suppression > 1.0:
+            raise ValueError("sigma_plus_suppression must be greater than 1")
 
     @property
     def p_store(self) -> float:
-        if self.storage_probability is not None:
-            return self.storage_probability
+        """sqrt(eta(0)): symmetric split of the combined storage-and-retrieval
+        efficiency (only the product is constrained)."""
         return math.sqrt(self.storage_retrieval_efficiency_zero_delay)
 
     def p_retrieve(self, t: float) -> float:
-        p = retrieval_efficiency(self, t) / self.p_store
-        if p > 1.0:
-            raise ValueError(
-                "storage_probability too small: implied retrieval probability > 1"
-            )
-        return p
+        p_store = self.p_store
+        return retrieval_efficiency(self, t) / p_store if p_store > 0.0 else 0.0
+
+
+def retrieval_time_constant(config: ExperimentConfig) -> float:
+    """tau of eta(t) = eta0 exp(-t/tau) through the two measured points,
+    tau = delayed_at / ln(eta0 / eta_delayed): infinite when the efficiency
+    does not decay, 0 when nothing is left at the delayed point."""
+    eta0 = config.storage_retrieval_efficiency_zero_delay
+    etad = config.storage_retrieval_efficiency_delayed
+    if etad == eta0:
+        return math.inf
+    if etad == 0.0:
+        return 0.0
+    return config.delayed_at / math.log(eta0 / etad)
 
 
 def retrieval_efficiency(config: ExperimentConfig, t: float) -> float:
     """Combined storage-and-retrieval efficiency at delay t, interpolated
-    exponentially between the two measured points: eta(t) = eta0 exp(-t/tau)
-    with tau = delayed_at / ln(eta0 / eta_delayed)."""
+    exponentially between the two measured points (see
+    ``retrieval_time_constant``)."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     eta0 = config.storage_retrieval_efficiency_zero_delay
-    etad = config.storage_retrieval_efficiency_delayed
-    if eta0 == 0.0:
-        return 0.0
-    if etad == eta0:
+    tau = retrieval_time_constant(config)
+    if t == 0.0:
         return eta0
-    tau = config.delayed_at / math.log(eta0 / etad)
-    return eta0 * math.exp(-t / tau)
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """Outcome of one repetition."""
-
-    basis: str  # "HV", "DA" or "LR"
-    control_retrieved: bool
-    target_counts_k: int
-    target_counts_l: int
+    return eta0 * math.exp(-t / tau) if tau > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -128,17 +129,6 @@ class CountSummary:
     stderr: tuple[float, float, float]
     n_postselected: int
     n_total: int
-
-
-class ShotStream:
-    """Counter-based random stream for one shot: (seed, index) -> 8 uniforms."""
-
-    def __init__(self, seed: int, index: int):
-        self.seed = seed
-        self.index = index
-
-    def uniforms(self) -> np.ndarray:
-        return _uniform_block(self.seed, self.index, 1)[0]
 
 
 def _uniform_block(seed: int, start: int, n: int) -> np.ndarray:
@@ -220,7 +210,7 @@ def _port_lambdas(config: ExperimentConfig, truth, input_state: PolarizationStat
 
 @dataclass(frozen=True)
 class ShotBatch:
-    """Vectorized shot outcomes; ``records()`` yields ShotRecord objects."""
+    """Vectorized shot outcomes, one array element per shot."""
 
     basis_index: np.ndarray  # int in {0, 1, 2}
     control_stored: np.ndarray  # bool
@@ -230,15 +220,6 @@ class ShotBatch:
 
     def __len__(self) -> int:
         return self.basis_index.size
-
-    def records(self):
-        for i in range(len(self)):
-            yield ShotRecord(
-                basis=BASIS_NAMES[self.basis_index[i]],
-                control_retrieved=bool(self.control_retrieved[i]),
-                target_counts_k=int(self.counts_k[i]),
-                target_counts_l=int(self.counts_l[i]),
-            )
 
 
 def simulate_batch(
@@ -281,24 +262,7 @@ def simulate_batch(
     )
 
 
-def simulate_shot(
-    rng_stream: ShotStream,
-    config: ExperimentConfig,
-    truth,
-    input_state: PolarizationState,
-) -> ShotRecord:
-    """Simulate a single repetition using its counter-based stream."""
-    cfg = config
-    if cfg.rng_seed != rng_stream.seed:
-        # the stream, not the config, owns the randomness of this shot
-        from dataclasses import replace
-
-        cfg = replace(config, rng_seed=rng_stream.seed)
-    batch = simulate_batch(cfg, truth, input_state, start_index=rng_stream.index, n=1)
-    return next(batch.records())
-
-
-def estimate_stokes(records, postselect: bool) -> CountSummary:
+def estimate_stokes(batch: ShotBatch, postselect: bool) -> CountSummary:
     """Form normalized Stokes parameters from summed per-basis counts.
 
     Standard errors come from binomial propagation of the port-splitting
@@ -306,21 +270,9 @@ def estimate_stokes(records, postselect: bool) -> CountSummary:
     Raises InsufficientStatisticsError naming the first basis with no counts
     after postselection.
     """
-    if isinstance(records, ShotBatch):
-        basis = records.basis_index
-        retrieved = records.control_retrieved
-        ck, cl = records.counts_k, records.counts_l
-        n_total = len(records)
-    else:
-        recs = list(records)
-        n_total = len(recs)
-        basis = np.array(
-            [BASIS_NAMES.index(r.basis) for r in recs], dtype=np.int64
-        )
-        retrieved = np.array([r.control_retrieved for r in recs], dtype=bool)
-        ck = np.array([r.target_counts_k for r in recs], dtype=np.int64)
-        cl = np.array([r.target_counts_l for r in recs], dtype=np.int64)
-    keep = retrieved if postselect else np.ones(n_total, dtype=bool)
+    basis, ck, cl = batch.basis_index, batch.counts_k, batch.counts_l
+    n_total = len(batch)
+    keep = batch.control_retrieved if postselect else np.ones(n_total, dtype=bool)
     components = []
     errors = []
     counts = {}

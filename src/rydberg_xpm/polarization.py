@@ -109,23 +109,6 @@ def stokes(state: PolarizationState) -> StokesVector:
     )
 
 
-def basis_powers(state: PolarizationState) -> dict[str, float]:
-    """Power in each detection port, keyed H, V, D, A, L, R (unnormalized)."""
-    sq2 = math.sqrt(2.0)
-    a_h = (state.c_plus + state.c_minus) / sq2
-    a_v = 1j * (state.c_plus - state.c_minus) / sq2
-    a_d = (a_h + a_v) / sq2
-    a_a = (a_h - a_v) / sq2
-    return {
-        "H": abs(a_h) ** 2,
-        "V": abs(a_v) ** 2,
-        "D": abs(a_d) ** 2,
-        "A": abs(a_a) ** 2,
-        "L": abs(state.c_plus) ** 2,
-        "R": abs(state.c_minus) ** 2,
-    }
-
-
 def visibility(s: StokesVector) -> float:
     """Fringe visibility sqrt(S_HV^2 + S_DA^2) = S0 sin(theta)."""
     return math.sqrt(s.s_hv**2 + s.s_da**2)

@@ -1,27 +1,27 @@
 import numpy as np
 import pytest
 
-from rydberg_xpm import defaults
+from rydberg_xpm.config import RunConfig
 
 
 @pytest.fixture
 def params():
-    return defaults.eit_params()
+    return RunConfig().eit_params()
 
 
 @pytest.fixture
 def geom():
-    return defaults.geometry()
+    return RunConfig().geometry()
 
 
 @pytest.fixture
 def blk():
-    return defaults.blockade_params()
+    return RunConfig().blockade()
 
 
 @pytest.fixture
 def ds_op():
-    return defaults.operating_detuning()
+    return RunConfig().delta_s
 
 
 def angle_diff(a: float, b: float) -> float:

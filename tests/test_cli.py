@@ -1,6 +1,10 @@
 import json
 import math
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,19 @@ class TestTomographyCommand:
             out["truth"]["visibility"], abs=4 * sigma_az
         )
 
+    def test_no_storage_without_postselection(self, tmp_path):
+        cfg = write_config(tmp_path, {"statistics": {
+            "storage_retrieval_efficiency_zero_delay": 0.0,
+            "storage_retrieval_efficiency_delayed": 0.0,
+            "postselect": False,
+            "repetitions": 3000,
+        }})
+        code = main(["tomography", "--config", cfg, "--output-dir", str(tmp_path)])
+        assert code == 0
+        out = read_finite_json(tmp_path / "tomography.json")
+        assert out["n_postselected"] == out["n_total"] == 3000
+        assert all(math.isfinite(v) for v in out["stokes_estimate"].values())
+
     def test_zero_detection_exits_4(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -255,7 +272,25 @@ class TestFitCommand:
         assert out["estimates"]["delta_c_mhz"] == pytest.approx(9.15, abs=1e-3)
 
 
+def read_finite_json(path):
+    def refuse(token):
+        raise ValueError(f"non-finite JSON value {token}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
 class TestRetrievalCommand:
+    def test_no_delayed_efficiency(self, tmp_path):
+        cfg = write_config(
+            tmp_path, {"statistics": {"storage_retrieval_efficiency_delayed": 0.0}}
+        )
+        code = main(["retrieval", "--config", cfg, "--output-dir", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "retrieval.csv")
+        assert rows[0, 1] == 0.2 and np.all(rows[1:, 1] == 0.0)
+        assert read_finite_json(tmp_path / "retrieval.json")["tau_us"] is None
+
     def test_endpoints(self, tmp_path):
         code = main(["retrieval", "--output-dir", str(tmp_path)])
         assert code == 0
@@ -283,3 +318,22 @@ class TestReproducibility:
             assert code == 0
         for name in outputs:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+class TestScripts:
+    def test_headline_tomography_is_the_cli_run(self, tmp_path):
+        """The script's tomography is ``tomography --seed 7`` at the
+        default config: same truth and same estimate."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "reproduce_headline_numbers.py")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        line = next(x for x in proc.stdout.splitlines()
+                    if x.startswith("tomography azimuth"))
+        found = re.search(r": ([+-][0-9.]+) rad \(truth ([+-][0-9.]+),", line)
+        assert main(["tomography", "--seed", "7", "--output-dir", str(tmp_path)]) == 0
+        out = read_json(tmp_path / "tomography.json")
+        assert float(found.group(2)) == round(out["truth"]["azimuth_rad"], 3)
+        assert float(found.group(1)) == round(out["azimuth_rad"], 3)

@@ -6,18 +6,15 @@ import pytest
 from conftest import angle_diff
 from rydberg_xpm.errors import InsufficientStatisticsError
 from rydberg_xpm.photostatistics import (
-    BASIS_NAMES,
     ExperimentConfig,
-    ShotRecord,
-    ShotStream,
+    ShotBatch,
     estimate_stokes,
     output_state,
     retrieval_efficiency,
     simulate_batch,
-    simulate_shot,
     truth_stokes,
 )
-from rydberg_xpm.polarization import PolarizationState, basis_powers, visibility
+from rydberg_xpm.polarization import PolarizationState, stokes, visibility
 
 # frozen medium response at the default operating point
 TRUTH = (0.834204568833878, -1.5735361082477184,
@@ -28,6 +25,18 @@ def balanced_state():
     from rydberg_xpm.polarization import balanced_input_state
 
     return balanced_input_state(TRUTH[2])
+
+
+def retrieved_batch(basis, counts_k, counts_l):
+    """Shots that all stored and retrieved the control excitation."""
+    retrieved = np.ones(len(basis), dtype=bool)
+    return ShotBatch(
+        basis_index=np.array(basis, dtype=np.int64),
+        control_stored=retrieved,
+        control_retrieved=retrieved,
+        counts_k=np.array(counts_k, dtype=np.int64),
+        counts_l=np.array(counts_l, dtype=np.int64),
+    )
 
 
 def azimuth_sigma(summary):
@@ -58,6 +67,20 @@ class TestRetrievalEfficiency:
         with pytest.raises(ValueError):
             retrieval_efficiency(ExperimentConfig(), -1e-9)
 
+    def test_no_delayed_efficiency_is_a_step(self):
+        cfg = ExperimentConfig(storage_retrieval_efficiency_delayed=0.0)
+        assert retrieval_efficiency(cfg, 0.0) == 0.2
+        assert retrieval_efficiency(cfg, 1e-9) == 0.0
+        assert cfg.p_retrieve(0.0) == pytest.approx(math.sqrt(0.2), rel=1e-12)
+
+    def test_no_storage_never_retrieves(self):
+        cfg = ExperimentConfig(
+            storage_retrieval_efficiency_zero_delay=0.0,
+            storage_retrieval_efficiency_delayed=0.0,
+        )
+        assert cfg.p_store == 0.0
+        assert cfg.p_retrieve(0.0) == 0.0 and cfg.p_retrieve(1e-6) == 0.0
+
 
 class TestConfigValidation:
     def test_bad_probability(self):
@@ -75,10 +98,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(basis_mode="sequential")
 
-    def test_storage_split_must_keep_retrieval_physical(self):
-        cfg = ExperimentConfig(storage_probability=0.05)
+    @pytest.mark.parametrize("suppression", [1.0, 0.5, -15.0, math.nan])
+    def test_bad_suppression(self, suppression):
         with pytest.raises(ValueError):
-            cfg.p_retrieve(0.0)
+            ExperimentConfig(sigma_plus_suppression=suppression)
 
     def test_default_split_is_symmetric(self):
         cfg = ExperimentConfig()
@@ -135,21 +158,24 @@ class TestDeterminism:
         whole = simulate_batch(cfg, TRUTH, balanced_state())
         first = simulate_batch(cfg, TRUTH, balanced_state(), start_index=0, n=150)
         second = simulate_batch(cfg, TRUTH, balanced_state(), start_index=150, n=250)
-        assert np.array_equal(
-            whole.counts_k, np.concatenate([first.counts_k, second.counts_k])
-        )
-        assert np.array_equal(
-            whole.control_retrieved,
-            np.concatenate([first.control_retrieved, second.control_retrieved]),
-        )
+        for field in ("basis_index", "control_stored", "control_retrieved",
+                      "counts_k", "counts_l"):
+            assert np.array_equal(
+                getattr(whole, field),
+                np.concatenate([getattr(first, field), getattr(second, field)]),
+            )
 
     def test_scalar_shot_matches_batch_row(self):
+        # a single shot drawn on its own equals that row of the full batch
         cfg = ExperimentConfig(repetitions=100, rng_seed=321)
         batch = simulate_batch(cfg, TRUTH, balanced_state())
-        rows = list(batch.records())
         for i in (0, 1, 17, 49, 99):
-            record = simulate_shot(ShotStream(321, i), cfg, TRUTH, balanced_state())
-            assert record == rows[i]
+            shot = simulate_batch(cfg, TRUTH, balanced_state(), start_index=i, n=1)
+            for field in ("basis_index", "control_stored", "control_retrieved",
+                          "counts_k", "counts_l"):
+                assert np.array_equal(
+                    getattr(shot, field), getattr(batch, field)[i:i + 1]
+                )
 
     def test_random_basis_mode_is_deterministic(self):
         cfg = ExperimentConfig(repetitions=300, rng_seed=5, basis_mode="random")
@@ -160,49 +186,24 @@ class TestDeterminism:
 
 
 class TestEstimator:
-    def test_record_list_path_matches_batch_path(self):
-        cfg = ExperimentConfig(repetitions=900, rng_seed=11)
-        batch = simulate_batch(cfg, TRUTH, balanced_state())
-        from_batch = estimate_stokes(batch, postselect=False)
-        from_records = estimate_stokes(list(batch.records()), postselect=False)
-        assert from_batch == from_records
-
     def test_counts_all_in_one_port(self):
-        records = [
-            ShotRecord(basis="HV", control_retrieved=True, target_counts_k=4,
-                       target_counts_l=0),
-            ShotRecord(basis="DA", control_retrieved=True, target_counts_k=2,
-                       target_counts_l=2),
-            ShotRecord(basis="LR", control_retrieved=True, target_counts_k=1,
-                       target_counts_l=1),
-        ]
-        summary = estimate_stokes(records, postselect=True)
+        batch = retrieved_batch([0, 1, 2], [4, 2, 1], [0, 2, 1])
+        summary = estimate_stokes(batch, postselect=True)
         assert summary.stokes.s_hv == 1.0
         assert summary.stderr[0] == 0.0
         assert summary.stokes.s_da == 0.0 and summary.stokes.s_lr == 0.0
 
     def test_equal_counts_give_zero_vector(self):
-        records = [
-            ShotRecord(basis=b, control_retrieved=True, target_counts_k=3,
-                       target_counts_l=3)
-            for b in BASIS_NAMES
-        ]
-        summary = estimate_stokes(records, postselect=True)
+        batch = retrieved_batch([0, 1, 2], [3, 3, 3], [3, 3, 3])
+        summary = estimate_stokes(batch, postselect=True)
         s = summary.stokes
         assert (s.s_hv, s.s_da, s.s_lr) == (0.0, 0.0, 0.0)
         assert s.s0 == 0.0
 
     def test_empty_basis_names_the_basis(self):
-        records = [
-            ShotRecord(basis="HV", control_retrieved=True, target_counts_k=1,
-                       target_counts_l=0),
-            ShotRecord(basis="DA", control_retrieved=True, target_counts_k=0,
-                       target_counts_l=0),
-            ShotRecord(basis="LR", control_retrieved=True, target_counts_k=1,
-                       target_counts_l=0),
-        ]
+        batch = retrieved_batch([0, 1, 2], [1, 0, 1], [0, 0, 0])
         with pytest.raises(InsufficientStatisticsError) as err:
-            estimate_stokes(records, postselect=True)
+            estimate_stokes(batch, postselect=True)
         assert err.value.basis == "DA"
 
     def test_converges_to_uncontrolled_state_without_storage(self):
@@ -227,17 +228,22 @@ class TestEstimator:
         assert summary.n_postselected < summary.n_total
 
     def test_unpostselected_converges_to_photon_weighted_mixture(self):
-        cfg = ExperimentConfig(repetitions=1_000_000, rng_seed=31415)
+        # a pure output state, so its Stokes vector gives the port powers
+        cfg = ExperimentConfig(
+            repetitions=1_000_000, rng_seed=31415, coherence_factor=1.0
+        )
         batch = simulate_batch(cfg, TRUTH, balanced_state())
         summary = estimate_stokes(batch, postselect=False)
-        # independent mixture expectation from the two output states
+        # independent mixture expectation from the two output states: an
+        # output of power P gives port difference P S and port sum P
         p1 = 1.0 - math.exp(-cfg.mean_photons_control * cfg.p_store)
         out0 = output_state(cfg, TRUTH[0], TRUTH[1], balanced_state())
         out1 = output_state(cfg, TRUTH[2], TRUTH[3], balanced_state())
-        pw0, pw1 = basis_powers(out0), basis_powers(out1)
-        for i, (k, l) in enumerate((("H", "V"), ("D", "A"), ("L", "R"))):
-            num = (1 - p1) * (pw0[k] - pw0[l]) + p1 * (pw1[k] - pw1[l])
-            den = (1 - p1) * (pw0[k] + pw0[l]) + p1 * (pw1[k] + pw1[l])
+        s0, s1 = stokes(out0), stokes(out1)
+        den = (1 - p1) * out0.power + p1 * out1.power
+        for i, key in enumerate(("s_hv", "s_da", "s_lr")):
+            num = ((1 - p1) * out0.power * getattr(s0, key)
+                   + p1 * out1.power * getattr(s1, key))
             expected = num / den
             measured = (summary.stokes.s_hv, summary.stokes.s_da,
                         summary.stokes.s_lr)[i]
@@ -246,12 +252,13 @@ class TestEstimator:
 
 class TestDepolarization:
     def test_truth_matches_pure_state_at_full_coherence(self):
-        from rydberg_xpm.polarization import apply_medium, stokes
+        from rydberg_xpm.polarization import apply_medium
 
-        cfg = ExperimentConfig()
+        cfg = ExperimentConfig(coherence_factor=1.0)
         target = truth_stokes(cfg, TRUTH[2], TRUTH[3], balanced_state())
         pure = stokes(
-            apply_medium(balanced_state().normalized(), TRUTH[2], TRUTH[3])
+            apply_medium(balanced_state().normalized(), TRUTH[2], TRUTH[3],
+                         cfg.sigma_plus_suppression)
         )
         assert target.s_hv == pytest.approx(pure.s_hv, rel=1e-12)
         assert target.s_da == pytest.approx(pure.s_da, rel=1e-12)

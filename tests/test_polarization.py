@@ -12,7 +12,6 @@ from rydberg_xpm.polarization import (
     StokesVector,
     apply_medium,
     balanced_input_state,
-    basis_powers,
     fringe_power,
     stokes,
     visibility,
@@ -44,14 +43,6 @@ class TestConventions:
     def test_quarter_phase_gives_diagonal(self):
         s = stokes(PolarizationState(1.0, cmath.exp(1j * math.pi / 2)))
         assert s.phi == pytest.approx(math.pi / 2, abs=1e-15)
-
-    def test_port_powers_sum_to_total(self):
-        state = PolarizationState(0.3 + 0.1j, 0.8 - 0.4j)
-        powers = basis_powers(state)
-        for pair in (("H", "V"), ("D", "A"), ("L", "R")):
-            assert powers[pair[0]] + powers[pair[1]] == pytest.approx(
-                state.power, rel=1e-12
-            )
 
 
 class TestApplyMedium:

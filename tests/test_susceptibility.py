@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rydberg_xpm import defaults
 from rydberg_xpm.constants import angular_from_mhz, mhz_from_angular
-from rydberg_xpm.errors import ExactEITWarning, NoEITFeatureError
+from rydberg_xpm.errors import ConfigError, ExactEITWarning, NoEITFeatureError
 from rydberg_xpm.susceptibility import (
     EITParams,
     MediumGeometry,
@@ -247,7 +247,7 @@ def test_kramers_kronig_consistency(params, ds_op):
 
 
 def test_invalid_params_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         defaults.eit_params(gamma_rg_mhz=-1.0)
     with pytest.raises(ValueError):
         EITParams(gamma_e=0.0, gamma_rg=0.0, omega_c=0.0, delta_c=0.0,
