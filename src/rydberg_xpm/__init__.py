@@ -12,7 +12,6 @@ from .blockade import (
     BlockadeParams,
     DensityScan,
     blockade_radius,
-    chi_blockaded,
     density_scan,
     hard_sphere_controlled_phase,
     integrated_phase,
@@ -79,7 +78,6 @@ __all__ = [
     "c6_from_atomic_units",
     "chi",
     "chi0",
-    "chi_blockaded",
     "density_scan",
     "estimate_stokes",
     "fit_spectrum",

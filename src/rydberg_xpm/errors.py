@@ -23,7 +23,7 @@ class NoEITFeatureError(RydbergXPMError):
 
 
 class QuadratureError(RydbergXPMError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Blockade integral: node-doubling error estimate above the tolerance."""
 
     def __init__(self, achieved: float, requested: float):
         self.achieved = achieved

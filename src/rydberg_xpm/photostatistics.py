@@ -60,8 +60,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("mean_photons_control", "mean_photons_target"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in (
             "detection_efficiency",
             "storage_retrieval_efficiency_zero_delay",

@@ -27,6 +27,13 @@ import numpy as np
 from .constants import CONSTANTS, EPSILON_0, HBAR
 from .errors import ExactEITWarning, NoEITFeatureError
 
+# width search: the feature must rise this far above the background; the
+# peak and the half-height edges are located to these fractions of gamma_e
+_MIN_HEIGHT = 1e-6
+_PEAK_XTOL = 1e-10
+_EDGE_XTOL = 1e-9
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
+
 
 @dataclass(frozen=True)
 class EITParams:
@@ -90,30 +97,41 @@ def chi0(params: EITParams) -> float:
     return 2.0 * params.rho * params.d_eg**2 / (EPSILON_0 * HBAR * params.gamma_e)
 
 
-def chi(params: EITParams, delta_s):
+def chi(params: EITParams, delta_s, shift=0.0):
     """Evaluate the susceptibility at signal detuning(s) ``delta_s`` [rad/s].
 
-    Accepts a scalar or an ndarray and returns a matching complex result.
-    At an exact lossless EIT point (gamma_rg = 0 and Delta_c + Delta_s = 0
-    with Omega_c > 0) the inner fraction diverges and the analytic limit
-    chi = 0 is returned, flagged with :class:`ExactEITWarning`.
+    ``shift`` = C6/(hbar r^6) [rad/s] is the pair-state shift of a stored
+    Rydberg excitation at distance r.  It moves the two-photon resonance,
+    Delta_c + Delta_s -> Delta_c + Delta_s + shift, and broadcasts against
+    ``delta_s``.  Scalars give a complex scalar, arrays a matching array.
+
+    An infinite shift (r^6 underflowing to 0 included) removes the coupling
+    term and gives the two-level value.  At an exact lossless EIT point
+    (gamma_rg = 0 and Delta_c + Delta_s + shift = 0 with Omega_c > 0) the
+    inner fraction diverges and the analytic limit chi = 0 is returned,
+    flagged with :class:`ExactEITWarning`.
     """
-    scalar = np.isscalar(delta_s)
+    scalar = np.isscalar(delta_s) and np.isscalar(shift)
     ds = np.asarray(delta_s, dtype=float)
     x0 = chi0(params)
     if params.omega_c == 0.0:
+        if np.ndim(shift):
+            ds = np.broadcast_to(ds, np.broadcast_shapes(ds.shape, np.shape(shift)))
         den = params.gamma_e - 2j * ds
         out = 1j * x0 * params.gamma_e / den
     else:
-        inner = params.gamma_rg - 2j * (params.delta_c + ds)
-        exact = inner == 0
-        inner = np.where(exact, 1.0, inner)  # placeholder, masked below
         with np.errstate(over="ignore", invalid="ignore"):
+            two_photon = params.delta_c + shift + ds
+            # an infinite shift takes the Rydberg level out of resonance
+            blockaded = np.isinf(two_photon)
+            inner = params.gamma_rg - 2j * two_photon
+            exact = inner == 0
+            inner = np.where(exact | blockaded, 1.0, inner)  # placeholder, masked below
             coupling = params.omega_c**2 / inner
             # an inner term so small the fraction overflows is numerically an
             # exact transparency point as well; chi -> 0 in that limit
-            exact = exact | ~np.isfinite(coupling.real) | ~np.isfinite(coupling.imag)
-            coupling = np.where(exact, 0.0, coupling)
+            exact |= ~np.isfinite(coupling)
+            coupling = np.where(exact | blockaded, 0.0, coupling)
             den = params.gamma_e - 2j * ds + coupling
             out = 1j * x0 * params.gamma_e / den
         if np.any(exact):
@@ -123,7 +141,7 @@ def chi(params: EITParams, delta_s):
                 ExactEITWarning,
                 stacklevel=2,
             )
-        out = np.where(exact, 0.0 + 0.0j, out)
+            out = np.where(exact, 0.0 + 0.0j, out)
     return complex(out[()]) if scalar else out
 
 
@@ -162,31 +180,44 @@ def spectrum(params: EITParams, geom: MediumGeometry, delta_s_grid) -> SpectrumT
     return SpectrumTable(delta_s=ds, transmission=transmission(od), phase=phase)
 
 
-def _feature_height(params: EITParams, geom: MediumGeometry, ds: float) -> float:
-    """Transmission height of the EIT feature above the two-level background."""
+def _feature_height(params: EITParams, geom: MediumGeometry, ds):
+    """Transmission height of the EIT feature above the two-level background
+    at detuning(s) ``ds``."""
     t_eit = transmission(od_and_phase(chi(params, ds), geom)[0])
     t_bg = transmission(od_and_phase(chi(two_level(params), ds), geom)[0])
-    return float(t_eit - t_bg)
+    return t_eit - t_bg
 
 
-def transmission_fwhm(
-    params: EITParams,
-    geom: MediumGeometry,
-    min_height: float = 1e-6,
-    rel_tol: float = 1e-6,
-) -> float:
+def _golden_max(f, a: float, b: float, xtol: float) -> tuple[float, float]:
+    """(x, f(x)) at the maximum of a unimodal f on [a, b], by golden-section
+    search down to a bracket of width ``xtol`` (or 1e-14 relative)."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol + 1e-14 * abs(a):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, float(f(x))
+
+
+def transmission_fwhm(params: EITParams, geom: MediumGeometry) -> float:
     """Full width at half maximum of the EIT transmission feature [rad/s].
 
     The feature height is measured relative to the two-level background at
-    the same detuning.  The peak is located next to the two-photon resonance
-    Delta_s = -Delta_c and the half-height crossings are found by bisection
-    on each side of it.
+    the same detuning.  A 401-point grid around the two-photon resonance
+    Delta_s = -Delta_c brackets the peak, which golden-section search then
+    locates to 1e-10 gamma_e.  Each half-height edge is bracketed by steps
+    doubling away from the peak and bisected to 1e-9 gamma_e.
 
     Raises NoEITFeatureError when the coupling beam is off or the peak does
-    not exceed the background by ``min_height``.
+    not exceed the background by 1e-6.
     """
-    from scipy.optimize import brentq, minimize_scalar
-
     if params.omega_c == 0.0:
         raise NoEITFeatureError("no EIT feature: omega_c = 0")
     # the transparency feature lies between the dressed absorption lines at
@@ -195,46 +226,38 @@ def transmission_fwhm(
     half_span = 0.5 * max(params.omega_c, params.gamma_e)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExactEITWarning)
+
+        def height(ds):
+            return _feature_height(params, geom, ds)
+
         grid = np.linspace(center - half_span, center + half_span, 401)
-        heights = np.array([_feature_height(params, geom, d) for d in grid])
-        i_pk = int(np.argmax(heights))
-        lo = grid[max(i_pk - 1, 0)]
-        hi = grid[min(i_pk + 1, grid.size - 1)]
-        res = minimize_scalar(
-            lambda d: -_feature_height(params, geom, d),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": rel_tol * params.gamma_e * 1e-4},
+        i_pk = int(np.argmax(height(grid)))
+        peak, h_peak = _golden_max(
+            height,
+            grid[max(i_pk - 1, 0)],
+            grid[min(i_pk + 1, grid.size - 1)],
+            _PEAK_XTOL * params.gamma_e,
         )
-        peak = float(res.x)
-        h_peak = -float(res.fun)
-        if not h_peak > min_height:
+        if not h_peak > _MIN_HEIGHT:
             raise NoEITFeatureError(
                 f"no EIT feature: peak height {h_peak:.3e} above background "
-                f"is below the measurable margin {min_height:.1e}"
+                f"is below the measurable margin {_MIN_HEIGHT:.1e}"
             )
         half = h_peak / 2.0
-        center = peak
-
-        def g(ds: float) -> float:
-            return _feature_height(params, geom, ds) - half
-
-        edges = []
-        for direction in (-1.0, +1.0):
-            step = params.gamma_e / 16.0
-            a = center
-            b = center + direction * step
-            for _ in range(200):
-                if g(b) < 0.0:
-                    break
-                a = b
-                step *= 2.0
-                b = center + direction * step
-            else:
-                raise NoEITFeatureError("EIT feature has no half-height crossing")
-            lo, hi = (a, b) if a < b else (b, a)
-            edges.append(
-                brentq(g, lo, hi, xtol=rel_tol * params.gamma_e * 1e-3, rtol=1e-14)
-            )
-    width = abs(edges[1] - edges[0])
-    return width
+        # bracket each edge (rows: left, right) between the last of the
+        # doubling steps away from the peak above half height and the first below
+        sides = np.array([[-1.0], [1.0]])
+        offsets = params.gamma_e / 16.0 * np.r_[0.0, 2.0 ** np.arange(200)]
+        below = height(peak + sides * offsets[1:]) < half
+        if not below.any(axis=1).all():
+            raise NoEITFeatureError("EIT feature has no half-height crossing")
+        k = np.argmax(below, axis=1)[:, None]
+        inside, outside = (peak + sides * offsets[np.hstack((k, k + 1))]).T
+        xtol = _EDGE_XTOL * params.gamma_e + 1e-14 * np.abs(inside)
+        while np.any(np.abs(outside - inside) > xtol):
+            mid = 0.5 * (inside + outside)
+            above = height(mid) >= half
+            inside = np.where(above, mid, inside)
+            outside = np.where(above, outside, mid)
+    left, right = 0.5 * (inside + outside)
+    return float(right - left)

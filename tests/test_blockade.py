@@ -7,7 +7,6 @@ from rydberg_xpm import defaults
 from rydberg_xpm.blockade import (
     BlockadeParams,
     blockade_radius,
-    chi_blockaded,
     density_scan,
     hard_sphere_controlled_phase,
     integrated_phase,
@@ -65,33 +64,58 @@ class TestBlockadeRadius:
             blockade_radius(blk.c6, 0.0)
 
 
+def chi_at(params, blk, ds, r):
+    """chi at distances r from a stored excitation, through the ``shift``
+    argument, with the sign_reversed flag applied to both detunings."""
+    if blk.sign_reversed:
+        params, ds = replace(params, delta_c=-params.delta_c), -ds
+    with np.errstate(divide="ignore", over="ignore"):
+        shift = blk.c6 / (HBAR * np.asarray(r, dtype=float) ** 6)
+    return chi(params, ds, shift=shift)
+
+
 class TestChiBlockaded:
     def test_far_away_reduces_to_plain_susceptibility(self, params, blk, ds_op):
-        far = chi_blockaded(params, blk, ds_op, 1.0)
+        far = chi_at(params, blk, ds_op, [1.0])[0]
         assert far == pytest.approx(chi(params, ds_op), rel=1e-9)
 
     def test_contact_limit_is_two_level(self, params, blk, ds_op):
-        near = chi_blockaded(params, blk, ds_op, 10e-9)
+        near = chi_at(params, blk, ds_op, [10e-9])[0]
         assert near == pytest.approx(chi(two_level(params), ds_op), rel=1e-6)
 
     def test_tiny_radius_does_not_overflow(self, params, blk, ds_op):
-        value = chi_blockaded(params, blk, ds_op, 1e-60)
+        # r^6 underflows to 0: the infinite shift gives the two-level value
+        value = chi_at(params, blk, ds_op, [1e-60])[0]
         assert np.isfinite(value.real) and np.isfinite(value.imag)
+        assert value == chi(two_level(params), ds_op)
 
     def test_monotone_approach_for_default_signs(self, params, blk, ds_op):
         r = np.logspace(-7, -3, 1000)
-        values = np.array([chi_blockaded(params, blk, ds_op, x).real for x in r])
+        values = chi_at(params, blk, ds_op, r).real
         diffs = np.diff(values)
         assert np.all(diffs >= 0) or np.all(diffs <= 0)
 
     def test_reversed_signs_overshoot(self, params, blk, ds_op):
         rev = replace(blk, sign_reversed=True)
         r = np.logspace(-7, -3, 1000)
-        values = np.array([chi_blockaded(params, rev, ds_op, x).real for x in r])
+        values = chi_at(params, rev, ds_op, r).real
         diffs = np.diff(values)
         assert not (np.all(diffs >= 0) or np.all(diffs <= 0))
         lo, hi = min(values[0], values[-1]), max(values[0], values[-1])
         assert values.max() > hi or values.min() < lo
+
+    def test_shift_broadcasts_against_detuning(self, params, blk, ds_op):
+        r = np.array([5e-6, 14e-6, 40e-6])
+        grid = chi_at(params, blk, np.array([[ds_op], [0.5 * ds_op]]), r)
+        assert grid.shape == (2, 3)
+        for i, ds in enumerate((ds_op, 0.5 * ds_op)):
+            for j, x in enumerate(r):
+                assert grid[i, j] == chi_at(params, blk, ds, x)
+
+    def test_zero_shift_is_bit_identical(self, params):
+        ds = np.linspace(-2e8, 2e8, 101)
+        assert np.array_equal(chi(params, ds, shift=0.0), chi(params, ds))
+        assert np.array_equal(chi(params, ds, shift=np.zeros(101)), chi(params, ds))
 
 
 class TestIntegratedPhase:
@@ -130,16 +154,24 @@ class TestIntegratedPhase:
         with pytest.raises(ValueError):
             integrated_phase(params, geom, blk, ds_op, 2)
 
-    def test_matches_independent_dense_quadrature(self, params, geom, blk, ds_op):
+    @pytest.mark.parametrize("sign_reversed", [False, True])
+    @pytest.mark.parametrize("c6_scale", [1.0, 64.0, 1024.0])
+    def test_matches_independent_dense_quadrature(
+        self, params, geom, blk, ds_op, c6_scale, sign_reversed
+    ):
         # oracle: re-derived vectorized integrand + composite Simpson on each
-        # side of the cusp, fully independent of the adaptive-quadrature path
+        # side of the cusp, fully independent of the Gauss-Legendre path
         from scipy.integrate import simpson
+
+        blk = replace(blk, c6=blk.c6 * c6_scale, sign_reversed=sign_reversed)
+        sign = -1.0 if sign_reversed else 1.0
+        ds, dc = sign * ds_op, sign * params.delta_c
 
         def chi_vec(z):
             r6 = np.abs(z - blk.excitation_z) ** 6
             shift = blk.c6 / (HBAR * r6)
-            inner = params.gamma_rg - 2j * (params.delta_c + ds_op + shift)
-            den = params.gamma_e - 2j * ds_op + params.omega_c**2 / inner
+            inner = params.gamma_rg - 2j * (dc + ds + shift)
+            den = params.gamma_e - 2j * ds + params.omega_c**2 / inner
             return 1j * (
                 2 * params.rho * params.d_eg**2
                 / (8.8541878128e-12 * HBAR * params.gamma_e)
@@ -164,8 +196,10 @@ class TestIntegratedPhase:
         import rydberg_xpm.blockade as blockade_mod
         from rydberg_xpm.errors import QuadratureError
 
+        # a 1 % error in the coarse rule's weights puts the node-doubling
+        # estimate far above the requested tolerance
         monkeypatch.setattr(
-            blockade_mod, "quad", lambda *a, **k: (1.0, 0.5)
+            blockade_mod, "_GL_WEIGHTS", blockade_mod._GL_WEIGHTS * [[1.01], [1.0]]
         )
         with pytest.raises(QuadratureError) as err:
             integrated_phase(params, geom, blk, ds_op, 1)

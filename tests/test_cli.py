@@ -337,3 +337,39 @@ class TestScripts:
         out = read_json(tmp_path / "tomography.json")
         assert float(found.group(2)) == round(out["truth"]["azimuth_rad"], 3)
         assert float(found.group(1)) == round(out["azimuth_rad"], 3)
+
+
+SCIPY_FREE_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from rydberg_xpm.cli import COMMANDS, main
+cfg, csv, out = sys.argv[1:4]
+codes = {name: main([name, "--config", cfg, "--output-dir", out]
+                    + (["--input", csv] if name == "fit" else []))
+         for name in COMMANDS}
+print(json.dumps(codes))
+"""
+
+
+class TestScipyFree:
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        """The run path needs numpy only; scipy is a test dependency.  A
+        fresh interpreter, because the oracle tests import scipy here."""
+        root = Path(__file__).resolve().parents[1]
+        cfg = write_config(tmp_path, {
+            "spectrum_grid": {"points": 21},
+            "density_grid": {"points": 3},
+            "statistics": {"repetitions": 3000},
+            "retrieval_grid": {"points": 5},
+        })
+        csv = TestFitCommand._write_synthetic(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_FREE_RUN, cfg, csv, str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == {name: 0 for name in (
+            "spectrum", "blockade-phase", "density-scan", "tomography", "fit",
+            "retrieval")}, proc.stderr

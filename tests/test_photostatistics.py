@@ -103,6 +103,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(sigma_plus_suppression=suppression)
 
+    @pytest.mark.parametrize("name", ["mean_photons_control", "mean_photons_target"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_bad_mean_photons(self, name, value):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{name: value})
+
     def test_default_split_is_symmetric(self):
         cfg = ExperimentConfig()
         assert cfg.p_store == pytest.approx(math.sqrt(0.2), rel=1e-15)
