@@ -10,7 +10,7 @@ from rydberg_xpm.blockade import blockade_radius, hard_sphere_controlled_phase
 from rydberg_xpm.cli import medium_response, operating_spectra
 from rydberg_xpm.config import RunConfig
 from rydberg_xpm.constants import mhz_from_angular
-from rydberg_xpm.photostatistics import estimate_stokes, simulate_batch, truth_stokes
+from rydberg_xpm.photostatistics import tally_stokes, truth_stokes
 from rydberg_xpm.polarization import balanced_input_state, visibility
 from rydberg_xpm.susceptibility import transmission_fwhm
 
@@ -43,10 +43,8 @@ def main() -> None:
 
     exp_cfg = cfg.experiment()
     state = balanced_input_state(od1)
-    summary = estimate_stokes(
-        simulate_batch(exp_cfg, (od0, phi0, od1, phi1), state),
-        postselect=cfg.raw["statistics"]["postselect"],
-    )
+    summary = tally_stokes(exp_cfg, (od0, phi0, od1, phi1), state,
+                           postselect=cfg.raw["statistics"]["postselect"])
     truth = truth_stokes(exp_cfg, od1, phi1, state)
     print(f"tomography azimuth             : {summary.stokes.phi:+.3f} rad "
           f"(truth {truth.phi:+.3f}, {summary.n_postselected} postselected shots)")

@@ -58,6 +58,9 @@ class BlockadeParams:
     sign_reversed: bool = False
 
     def __post_init__(self):
+        for name in ("c6", "excitation_z"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c6 < 0:
             raise ValueError(f"c6 must be >= 0, got {self.c6}")
 

@@ -45,10 +45,9 @@ from .errors import (
 )
 from .fitting import SpectrumData, fit_spectrum
 from .photostatistics import (
-    estimate_stokes,
     retrieval_efficiency,
     retrieval_time_constant,
-    simulate_batch,
+    tally_stokes,
     truth_stokes,
 )
 from .polarization import balanced_input_state, visibility
@@ -211,8 +210,8 @@ def cmd_tomography(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     od0, phi0, od1, phi1 = medium_response(cfg, cfg.blockade())
     exp_cfg = cfg.experiment()
     input_state = balanced_input_state(od1)
-    batch = simulate_batch(exp_cfg, (od0, phi0, od1, phi1), input_state)
-    summary = estimate_stokes(batch, postselect=cfg.raw["statistics"]["postselect"])
+    summary = tally_stokes(exp_cfg, (od0, phi0, od1, phi1), input_state,
+                           postselect=cfg.raw["statistics"]["postselect"])
     est = summary.stokes
     truth = truth_stokes(exp_cfg, od1, phi1, input_state)
     payload = {

@@ -27,7 +27,7 @@ from .constants import (
 )
 from .errors import ConfigError
 from .fitting import FitParameters
-from .photostatistics import ExperimentConfig
+from .photostatistics import MAX_MEAN_PHOTONS_TARGET, ExperimentConfig
 from .susceptibility import EITParams, MediumGeometry
 
 _POS = ("positive", lambda v: v > 0)
@@ -68,7 +68,10 @@ _TABLE: dict[str, dict[str, tuple[Any, tuple]]] = {
     },
     "statistics": {
         "mean_photons_control": (defaults.MEAN_PHOTONS_CONTROL, _NONNEG),
-        "mean_photons_target": (defaults.MEAN_PHOTONS_TARGET, _NONNEG),
+        "mean_photons_target": (
+            defaults.MEAN_PHOTONS_TARGET,
+            (f"in [0, {MAX_MEAN_PHOTONS_TARGET:g}]",
+             lambda v: 0 <= v <= MAX_MEAN_PHOTONS_TARGET)),
         "detection_efficiency": (defaults.DETECTION_EFFICIENCY, _UNIT),
         "storage_retrieval_efficiency_zero_delay": (
             defaults.STORAGE_RETRIEVAL_EFFICIENCY_ZERO_DELAY, _UNIT),

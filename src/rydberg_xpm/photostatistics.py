@@ -13,7 +13,17 @@ probability, and analysis may postselect on retrieval.
 Randomness is counter-based: shot i consumes exactly two Philox counter
 blocks (eight 64-bit words) keyed by the seed, so any batch, chunked or
 parallel evaluation order yields bit-identical shots; a single shot i is
-``simulate_batch(..., start_index=i, n=1)``.
+``simulate_batch(..., start_index=i, n=1)``.  Word w of a shot gives the
+53-bit integer m = w >> 11, whose uniform is u = m 2^-53 exactly, so the
+kernel never forms u: ``u < p`` is tested as ``m < ceil(p 2^53)``, and a
+Poisson draw by CDF inversion (the number of CDF values below u) counts the
+thresholds floor(cdf 2^53) below m.  The thresholds of the six (stored,
+basis) groups sit in one sorted table, the group number in the bits above
+bit 53, so one ``searchsorted`` draws every shot's count of a port.
+
+``tally_stokes`` runs ``simulate_batch`` over CHUNK_SHOTS-shot chunks and
+keeps only the per-basis count sums, so its memory does not grow with the
+number of repetitions.
 """
 
 from __future__ import annotations
@@ -29,8 +39,15 @@ from .polarization import PolarizationState, StokesVector, apply_medium
 
 BASIS_NAMES = ("HV", "DA", "LR")
 _PORTS = {"HV": ("H", "V"), "DA": ("D", "A"), "LR": ("L", "R")}
-_U64_TO_UNIT = 2.0**-53  # (raw >> 11) * 2^-53 maps uint64 -> [0, 1)
+_MANTISSA = 2**53  # (raw >> 11) / 2^53 maps uint64 -> [0, 1)
+# thresholds reach 2^53, so the group number of a table key sits above bit 53
+_GROUP_SHIFT = np.uint64(54)
 _BLOCKS_PER_SHOT = 2  # 8 uniforms per shot
+CHUNK_SHOTS = 2**18  # shots per simulate_batch call of tally_stokes
+# The Poisson table and its temporaries grow linearly with the mean count
+# (321 MB at a mean of 10^7), so the mean is bounded far below where it
+# would fill memory.
+MAX_MEAN_PHOTONS_TARGET = 1000.0
 
 
 @dataclass(frozen=True)
@@ -59,9 +76,12 @@ class ExperimentConfig:
     coherence_factor: float = defaults.COHERENCE_FACTOR
 
     def __post_init__(self):
-        for name in ("mean_photons_control", "mean_photons_target"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 <= self.mean_photons_control < math.inf:
+            raise ValueError("mean_photons_control must be finite and >= 0")
+        if not 0 <= self.mean_photons_target <= MAX_MEAN_PHOTONS_TARGET:
+            raise ValueError(
+                f"mean_photons_target must be in [0, {MAX_MEAN_PHOTONS_TARGET:g}]"
+            )
         for name in (
             "detection_efficiency",
             "storage_retrieval_efficiency_zero_delay",
@@ -131,23 +151,41 @@ class CountSummary:
     n_total: int
 
 
-def _uniform_block(seed: int, start: int, n: int) -> np.ndarray:
-    """Uniform draws for shots [start, start+n), shape (n, 8)."""
-    bg = np.random.Philox(key=seed)
-    bg.advance(_BLOCKS_PER_SHOT * start)
-    raw = bg.random_raw(8 * n).reshape(n, 8)
-    return (raw >> np.uint64(11)).astype(np.float64) * _U64_TO_UNIT
+def _threshold(p: float) -> np.uint64:
+    """T such that m < T exactly when m 2^-53 < p, for 53-bit integers m."""
+    return np.uint64(min(math.ceil(p * _MANTISSA), _MANTISSA))
 
 
-def _poisson_from_uniform(u: np.ndarray, lam: float) -> np.ndarray:
-    """Poisson counts by CDF inversion of one uniform per draw."""
+def _poisson_thresholds(lam: float) -> np.ndarray:
+    """floor(cdf 2^53), clamped at 2^53, of the Poisson(lam) CDF: the number
+    of entries below m is the CDF-inversion count of the uniform m 2^-53
+    (cdf < m 2^-53 exactly when floor(cdf 2^53) < m).  Empty for lam = 0,
+    whose count is always 0."""
     if lam == 0.0:
-        return np.zeros(u.shape, dtype=np.int64)
+        return np.zeros(0, dtype=np.uint64)
     kmax = int(lam + 12.0 * math.sqrt(lam) + 25.0)
     k = np.arange(1, kmax + 1, dtype=float)
     log_pmf = np.concatenate(([0.0], np.cumsum(np.log(lam / k)))) - lam
     cdf = np.cumsum(np.exp(log_pmf))
-    return np.searchsorted(cdf, u, side="left").astype(np.int64)
+    return np.minimum(np.floor(cdf * _MANTISSA), _MANTISSA).astype(np.uint64)
+
+
+def _random_basis(m: np.ndarray) -> np.ndarray:
+    """floor(3u), capped at 2, in float arithmetic: m (3 / 2^53) rounds
+    exactly as u * 3.0 does, which is not always floor(3m / 2^53) (the
+    product rounds m = (2^54 - 1) / 3 up to basis 2)."""
+    return np.minimum((m * (3.0 / _MANTISSA)).astype(np.int64), 2)
+
+
+def _grouped_table(lams) -> tuple[np.ndarray, np.ndarray]:
+    """One sorted table of every group's Poisson thresholds, keyed
+    (group << 54) | threshold, and the index where each group starts."""
+    parts = [
+        (np.uint64(g) << _GROUP_SHIFT) | _poisson_thresholds(lam)
+        for g, lam in enumerate(lams)
+    ]
+    starts = np.cumsum([0] + [part.size for part in parts[:-1]])
+    return np.concatenate(parts), starts
 
 
 def _depolarized_port_powers(
@@ -193,18 +231,21 @@ def truth_stokes(
     )
 
 
-def _port_lambdas(config: ExperimentConfig, truth, input_state: PolarizationState):
-    """Mean detected counts per port for each (stored, basis) combination."""
+def _port_lambdas(
+    config: ExperimentConfig, truth, input_state: PolarizationState
+) -> list[tuple[float, float]]:
+    """Mean detected counts (port k, port l) of each shot group, indexed
+    by group = basis + 3 stored."""
     od0, phi0, od1, phi1 = truth
     scale = config.mean_photons_target * config.detection_efficiency
-    table = {}
-    for stored, (od_j, phi_j) in enumerate(((od0, phi0), (od1, phi1))):
+    table = []
+    for od_j, phi_j in ((od0, phi0), (od1, phi1)):
         powers = _depolarized_port_powers(
             output_state(config, od_j, phi_j, input_state), config.coherence_factor
         )
-        for b, name in enumerate(BASIS_NAMES):
+        for name in BASIS_NAMES:
             pk, pl = _PORTS[name]
-            table[(stored, b)] = (scale * powers[pk], scale * powers[pl])
+            table.append((scale * powers[pk], scale * powers[pl]))
     return table
 
 
@@ -232,29 +273,32 @@ def simulate_batch(
     """Simulate shots [start_index, start_index + n) of the experiment.
 
     truth is the tuple (od0, phi0, od1, phi1) of medium responses without
-    and with a stored control excitation.
+    and with a stored control excitation.  Words 0 to 4 of a shot draw
+    storage, retrieval, the random basis and the counts of ports k and l.
     """
     if n is None:
         n = config.repetitions
-    u = _uniform_block(config.rng_seed, start_index, n)
+    bg = np.random.Philox(key=config.rng_seed)
+    bg.advance(_BLOCKS_PER_SHOT * start_index)
+    m = bg.random_raw(8 * n).reshape(n, 8)
+    m >>= np.uint64(11)
     p_stored = 1.0 - math.exp(-config.mean_photons_control * config.p_store)
-    stored = u[:, 0] < p_stored
-    retrieved = stored & (u[:, 1] < config.p_retrieve(config.delay))
+    stored = m[:, 0] < _threshold(p_stored)
+    retrieved = stored & (m[:, 1] < _threshold(config.p_retrieve(config.delay)))
     if config.basis_mode == "round_robin":
-        basis = (np.arange(start_index, start_index + n)) % 3
+        basis = np.arange(start_index, start_index + n) % 3
     else:
-        basis = np.minimum((u[:, 2] * 3.0).astype(np.int64), 2)
-    lam = _port_lambdas(config, truth, input_state)
-    counts_k = np.zeros(n, dtype=np.int64)
-    counts_l = np.zeros(n, dtype=np.int64)
-    for (j, b), (lk, ll) in lam.items():
-        m = (stored == bool(j)) & (basis == b)
-        if not m.any():
-            continue
-        counts_k[m] = _poisson_from_uniform(u[m, 3], lk)
-        counts_l[m] = _poisson_from_uniform(u[m, 4], ll)
+        basis = _random_basis(m[:, 2])
+    group = basis + 3 * stored
+    lams = _port_lambdas(config, truth, input_state)
+    table_k, starts_k = _grouped_table([lk for lk, _ in lams])
+    table_l, starts_l = _grouped_table([ll for _, ll in lams])
+    key = group.astype(np.uint64) << _GROUP_SHIFT
+    counts_k = np.searchsorted(table_k, key | m[:, 3]) - starts_k[group]
+    key |= m[:, 4]
+    counts_l = np.searchsorted(table_l, key) - starts_l[group]
     return ShotBatch(
-        basis_index=basis.astype(np.int64),
+        basis_index=basis,
         control_stored=stored,
         control_retrieved=retrieved,
         counts_k=counts_k,
@@ -262,24 +306,33 @@ def simulate_batch(
     )
 
 
-def estimate_stokes(batch: ShotBatch, postselect: bool) -> CountSummary:
-    """Form normalized Stokes parameters from summed per-basis counts.
+def _basis_sums(batch: ShotBatch, postselect: bool) -> tuple[np.ndarray, int]:
+    """Summed (port k, port l) counts per basis, shape (3, 2), and the
+    number of shots kept, over all shots or the retrieved ones."""
+    sums = np.zeros((len(BASIS_NAMES), 2), dtype=np.int64)
+    keep = batch.control_retrieved if postselect else None
+    for b in range(len(BASIS_NAMES)):
+        m = batch.basis_index == b
+        if keep is not None:
+            m &= keep
+        sums[b] = batch.counts_k[m].sum(), batch.counts_l[m].sum()
+    n_kept = int(keep.sum()) if keep is not None else len(batch)
+    return sums, n_kept
+
+
+def _summarize_counts(
+    sums: np.ndarray, n_postselected: int, n_total: int
+) -> CountSummary:
+    """Normalized Stokes parameters from summed per-basis counts.
 
     Standard errors come from binomial propagation of the port-splitting
     fraction: sigma_S = 2 sqrt(ab) / (a+b)^(3/2) for summed counts (a, b).
-    Raises InsufficientStatisticsError naming the first basis with no counts
-    after postselection.
+    Raises InsufficientStatisticsError naming the first basis with no counts.
     """
-    basis, ck, cl = batch.basis_index, batch.counts_k, batch.counts_l
-    n_total = len(batch)
-    keep = batch.control_retrieved if postselect else np.ones(n_total, dtype=bool)
     components = []
     errors = []
     counts = {}
-    for b, name in enumerate(BASIS_NAMES):
-        m = keep & (basis == b)
-        a = int(ck[m].sum())
-        c = int(cl[m].sum())
+    for name, (a, c) in zip(BASIS_NAMES, sums.tolist()):
         counts[name] = (a, c)
         tot = a + c
         if tot == 0:
@@ -290,6 +343,30 @@ def estimate_stokes(batch: ShotBatch, postselect: bool) -> CountSummary:
         counts=counts,
         stokes=StokesVector(*components),
         stderr=tuple(errors),
-        n_postselected=int(keep.sum()),
+        n_postselected=n_postselected,
         n_total=n_total,
     )
+
+
+def estimate_stokes(batch: ShotBatch, postselect: bool) -> CountSummary:
+    """Normalized Stokes parameters, with standard errors, from the summed
+    per-basis counts of one batch, after postselection on retrieval if
+    ``postselect`` (see ``_summarize_counts``)."""
+    return _summarize_counts(*_basis_sums(batch, postselect), len(batch))
+
+
+def tally_stokes(
+    config: ExperimentConfig, truth, input_state: PolarizationState, postselect: bool
+) -> CountSummary:
+    """``estimate_stokes`` of all ``config.repetitions`` shots, simulated
+    CHUNK_SHOTS at a time so that memory does not grow with the count."""
+    sums = np.zeros((len(BASIS_NAMES), 2), dtype=np.int64)
+    n_kept = 0
+    for start in range(0, config.repetitions, CHUNK_SHOTS):
+        n = min(CHUNK_SHOTS, config.repetitions - start)
+        chunk_sums, chunk_kept = _basis_sums(
+            simulate_batch(config, truth, input_state, start, n), postselect
+        )
+        sums += chunk_sums
+        n_kept += chunk_kept
+    return _summarize_counts(sums, n_kept, config.repetitions)

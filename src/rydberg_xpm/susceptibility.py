@@ -57,6 +57,9 @@ class EITParams:
     d_eg: float
 
     def __post_init__(self):
+        for name in ("gamma_e", "gamma_rg", "omega_c", "delta_c", "rho", "d_eg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.gamma_e > 0:
             raise ValueError(f"gamma_e must be positive, got {self.gamma_e}")
         if self.gamma_rg < 0:

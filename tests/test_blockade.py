@@ -289,3 +289,10 @@ class TestDensityScan:
         scan = density_scan(params, geom, blk, ds_op, [0.9e18, 1.8e18])
         assert scan.phase0[1] == pytest.approx(2 * scan.phase0[0], rel=1e-9)
         assert scan.phase1[1] == pytest.approx(2 * scan.phase1[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["c6", "excitation_z"])
+def test_non_finite_blockade_params_rejected(blk, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(blk, **{name: value})

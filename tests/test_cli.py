@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rydberg_xpm import photostatistics
 from rydberg_xpm.cli import main
 
 
@@ -184,6 +185,51 @@ class TestTomographyCommand:
         code = main(["tomography", "--config", cfg, "--output-dir", str(tmp_path)])
         assert code == 4
         assert "insufficient statistics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed_args,expected", [
+        ([], {
+            "counts": {"DA": [171, 33], "HV": [89, 99], "LR": [88, 98]},
+            "n_postselected": 6335,
+            "stokes_estimate": {"s_da": 0.6764705882352942,
+                                "s_hv": -0.05319148936170213,
+                                "s_lr": -0.053763440860215055},
+            "stokes_stderr": {"s_da": 0.05156318906860287,
+                              "s_hv": 0.072829247451549,
+                              "s_lr": 0.07321750967306324},
+            "azimuth_rad": 1.6492657691289383,
+        }),
+        (["--seed", "7"], {
+            "counts": {"DA": [170, 27], "HV": [97, 121], "LR": [91, 85]},
+            "n_postselected": 6300,
+            "stokes_estimate": {"s_da": 0.7258883248730964,
+                                "s_hv": -0.11009174311926606,
+                                "s_lr": 0.03409090909090909},
+            "stokes_stderr": {"s_da": 0.0490046169902393,
+                              "s_hv": 0.0673168534078826,
+                              "s_lr": 0.0753340217237596},
+            "azimuth_rad": 1.721314089496943,
+        }),
+    ])
+    def test_default_counts_are_frozen(self, tmp_path, seed_args, expected):
+        """The shots of the built-in config, as first simulated, stay the
+        same shots: the counts and the estimate are exact."""
+        code = main(["tomography", "--output-dir", str(tmp_path)] + seed_args)
+        assert code == 0
+        out = read_json(tmp_path / "tomography.json")
+        assert {key: out[key] for key in expected} == expected
+        assert out["n_total"] == 60000
+
+    def test_huge_target_mean_exits_2_before_any_table(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_table(lam):
+            raise AssertionError(f"Poisson table built for mean {lam}")
+
+        monkeypatch.setattr(photostatistics, "_poisson_thresholds", no_table)
+        cfg = write_config(tmp_path, {"statistics": {"mean_photons_target": 1e12}})
+        code = main(["tomography", "--config", cfg, "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "statistics.mean_photons_target" in capsys.readouterr().err
+        assert not (tmp_path / "tomography.json").exists()
 
     def test_seed_override_changes_counts(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_STATS)

@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import angle_diff
+from rydberg_xpm import photostatistics
 from rydberg_xpm.errors import InsufficientStatisticsError
 from rydberg_xpm.photostatistics import (
+    CHUNK_SHOTS,
     ExperimentConfig,
     ShotBatch,
     estimate_stokes,
     output_state,
     retrieval_efficiency,
     simulate_batch,
+    tally_stokes,
     truth_stokes,
 )
 from rydberg_xpm.polarization import PolarizationState, stokes, visibility
@@ -37,6 +41,55 @@ def retrieved_batch(basis, counts_k, counts_l):
         counts_k=np.array(counts_k, dtype=np.int64),
         counts_l=np.array(counts_l, dtype=np.int64),
     )
+
+
+FIELDS = ("basis_index", "control_stored", "control_retrieved", "counts_k", "counts_l")
+
+
+def oracle_poisson(u, lam):
+    """Poisson counts by float CDF inversion of one uniform per draw."""
+    if lam == 0.0:
+        return np.zeros(u.shape, dtype=np.int64)
+    kmax = int(lam + 12.0 * math.sqrt(lam) + 25.0)
+    k = np.arange(1, kmax + 1, dtype=float)
+    log_pmf = np.concatenate(([0.0], np.cumsum(np.log(lam / k)))) - lam
+    cdf = np.cumsum(np.exp(log_pmf))
+    return np.searchsorted(cdf, u, side="left").astype(np.int64)
+
+
+def oracle_batch(config, truth, input_state, start_index, n):
+    """Reference kernel: float uniforms u = (word >> 11) 2^-53 and one
+    boolean mask per (stored, basis) group, as the Monte Carlo was first
+    written; simulate_batch must reproduce it bit for bit."""
+    bg = np.random.Philox(key=config.rng_seed)
+    bg.advance(2 * start_index)
+    raw = bg.random_raw(8 * n).reshape(n, 8)
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    p_stored = 1.0 - math.exp(-config.mean_photons_control * config.p_store)
+    stored = u[:, 0] < p_stored
+    retrieved = stored & (u[:, 1] < config.p_retrieve(config.delay))
+    if config.basis_mode == "round_robin":
+        basis = np.arange(start_index, start_index + n) % 3
+    else:
+        basis = np.minimum((u[:, 2] * 3.0).astype(np.int64), 2)
+    counts_k = np.zeros(n, dtype=np.int64)
+    counts_l = np.zeros(n, dtype=np.int64)
+    lams = photostatistics._port_lambdas(config, truth, input_state)
+    for g, (lk, ll) in enumerate(lams):
+        j, b = divmod(g, 3)
+        m = (stored == bool(j)) & (basis == b)
+        if not m.any():
+            continue
+        counts_k[m] = oracle_poisson(u[m, 3], lk)
+        counts_l[m] = oracle_poisson(u[m, 4], ll)
+    return ShotBatch(basis.astype(np.int64), stored, retrieved, counts_k, counts_l)
+
+
+def assert_same_batch(a, b):
+    for field in FIELDS:
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype, field
+        assert np.array_equal(x, y), field
 
 
 def azimuth_sigma(summary):
@@ -108,6 +161,12 @@ class TestConfigValidation:
     def test_bad_mean_photons(self, name, value):
         with pytest.raises(ValueError):
             ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [1000.001, 1e12])
+    def test_target_mean_bounded(self, value):
+        ExperimentConfig(mean_photons_target=photostatistics.MAX_MEAN_PHOTONS_TARGET)
+        with pytest.raises(ValueError, match="mean_photons_target"):
+            ExperimentConfig(mean_photons_target=value)
 
     def test_default_split_is_symmetric(self):
         cfg = ExperimentConfig()
@@ -189,6 +248,107 @@ class TestDeterminism:
         b = simulate_batch(cfg, TRUTH, balanced_state())
         assert np.array_equal(a.basis_index, b.basis_index)
         assert set(np.unique(a.basis_index)) <= {0, 1, 2}
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("target", [0.0, 0.9, 40.0, 1000.0])
+    @pytest.mark.parametrize("n", [1, 1000, 2**17 + 3])
+    @pytest.mark.parametrize("start_index", [0, 150, 2**40])
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    def test_matches_oracle(self, basis_mode, start_index, n, target):
+        # full detection, so that the largest accepted mean reaches the
+        # largest Poisson table
+        cfg = ExperimentConfig(
+            mean_photons_target=target, detection_efficiency=1.0,
+            basis_mode=basis_mode, rng_seed=2718,
+        )
+        assert_same_batch(
+            simulate_batch(cfg, TRUTH, balanced_state(), start_index, n),
+            oracle_batch(cfg, TRUTH, balanced_state(), start_index, n),
+        )
+
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    @pytest.mark.parametrize("changes", [
+        {"mean_photons_control": 0.0},
+        {"storage_retrieval_efficiency_zero_delay": 0.0,
+         "storage_retrieval_efficiency_delayed": 0.0},
+        {"delay": 3e-6, "mean_photons_control": 4.0},
+    ])
+    def test_matches_oracle_at_storage_limits(self, basis_mode, changes):
+        cfg = ExperimentConfig(basis_mode=basis_mode, rng_seed=11, **changes)
+        assert_same_batch(
+            simulate_batch(cfg, TRUTH, balanced_state(), 150, 5000),
+            oracle_batch(cfg, TRUTH, balanced_state(), 150, 5000),
+        )
+
+    @pytest.mark.parametrize("lam", [1e-300, 0.9, 40.0, 1000.0, 3000.0])
+    def test_poisson_thresholds_at_their_edges(self, lam):
+        # every 53-bit integer next to a threshold, where a rounding slip
+        # between the integer and the float inversion would show
+        thresholds = photostatistics._poisson_thresholds(lam)
+        t = thresholds.astype(np.int64)
+        m = np.concatenate([t - 1, t, t + 1, [0, 1, 2**53 - 1]])
+        m = np.clip(m, 0, 2**53 - 1).astype(np.uint64)
+        u = m.astype(np.float64) * 2.0**-53
+        assert np.array_equal(np.searchsorted(thresholds, m),
+                              oracle_poisson(u, lam))
+
+    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 1e-300, math.sqrt(0.2),
+                                   1.0 - math.exp(-0.6 * math.sqrt(0.2)),
+                                   1.0 - 2.0**-53, 1.0])
+    def test_probability_threshold_at_its_edge(self, p):
+        t = int(photostatistics._threshold(p))
+        m = np.array([max(t - 1, 0), min(t, 2**53 - 1), 0, 2**53 - 1],
+                     dtype=np.uint64)
+        u = m.astype(np.float64) * 2.0**-53
+        assert np.array_equal(m < photostatistics._threshold(p), u < p)
+
+
+    def test_random_basis_at_its_edges(self):
+        # each basis boundary k 2^53 / 3, and the word whose product with 3
+        # rounds up across one
+        edges = [k * 2**53 // 3 + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+        m = np.array([0, (2**54 - 1) // 3] + [min(e, 2**53 - 1) for e in edges],
+                     dtype=np.uint64)
+        u = m.astype(np.float64) * 2.0**-53
+        expected = np.minimum((u * 3.0).astype(np.int64), 2)
+        assert np.array_equal(photostatistics._random_basis(m), expected)
+        assert expected[1] == 2
+
+
+class TestTally:
+    @pytest.mark.parametrize("postselect", [True, False])
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    def test_equals_monolithic_estimate(self, basis_mode, postselect):
+        cfg = ExperimentConfig(
+            repetitions=2 * CHUNK_SHOTS + 17, rng_seed=99, basis_mode=basis_mode
+        )
+        whole = estimate_stokes(
+            simulate_batch(cfg, TRUTH, balanced_state()), postselect=postselect
+        )
+        assert tally_stokes(cfg, TRUTH, balanced_state(), postselect) == whole
+        assert whole.n_total == 2 * CHUNK_SHOTS + 17
+
+    def test_names_the_empty_basis(self):
+        cfg = ExperimentConfig(detection_efficiency=0.0, repetitions=300)
+        with pytest.raises(InsufficientStatisticsError) as err:
+            tally_stokes(cfg, TRUTH, balanced_state(), postselect=False)
+        assert err.value.basis == "HV"
+
+    def test_memory_does_not_grow_with_repetitions(self):
+        def peak(repetitions):
+            cfg = ExperimentConfig(repetitions=repetitions, rng_seed=3)
+            tracemalloc.start()
+            try:
+                tally_stokes(cfg, TRUTH, balanced_state(), postselect=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2**19), peak(2**21)
+        assert large <= 1.05 * small
+        # one chunk's words (8 per shot) bound it, not the 2^21 shots
+        assert large < 4 * 64 * CHUNK_SHOTS
 
 
 class TestEstimator:

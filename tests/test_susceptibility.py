@@ -254,3 +254,12 @@ def test_invalid_params_rejected():
                   rho=1e18, d_eg=2.5e-29)
     with pytest.raises(ValueError):
         MediumGeometry(length=0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name", ["gamma_e", "gamma_rg", "omega_c", "delta_c", "rho", "d_eg"]
+)
+def test_non_finite_params_rejected(params, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(params, **{name: value})
