@@ -65,13 +65,6 @@ class BlockadeParams:
             raise ValueError(f"c6 must be >= 0, got {self.c6}")
 
 
-def vdw_shift(c6: float, r: float) -> float:
-    """Pair-state shift V/hbar = -c6/(hbar r^6) [rad/s] at distance r."""
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r}")
-    return -c6 / (HBAR * r**6)
-
-
 def blockade_radius(c6: float, delta_t: float) -> float:
     """Radius where the |vdW shift| equals the EIT linewidth delta_t [rad/s]."""
     if not delta_t > 0:

@@ -36,11 +36,9 @@ from .config import RunConfig
 from .constants import angular_from_mhz, mhz_from_angular
 from .errors import (
     ConfigError,
-    DegenerateJacobianError,
     FitNonConvergenceError,
     InsufficientStatisticsError,
     NoEITFeatureError,
-    QuadratureError,
     RydbergXPMError,
 )
 from .fitting import SpectrumData, fit_spectrum
@@ -375,11 +373,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
-    except (QuadratureError, DegenerateJacobianError, NoEITFeatureError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except RydbergXPMError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # NoEITFeatureError, QuadratureError, DegenerateJacobianError
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         # parameter invariants violated by the supplied configuration

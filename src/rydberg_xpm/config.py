@@ -19,8 +19,8 @@ import numpy as np
 from . import defaults
 from .blockade import BlockadeParams
 from .constants import (
-    CONSTANTS,
     RB87_D2_CYCLING_DIPOLE,
+    SIGNAL_WAVELENGTH,
     TWO_PI,
     angular_from_mhz,
     c6_from_atomic_units,
@@ -46,7 +46,7 @@ _TABLE: dict[str, dict[str, tuple[Any, tuple]]] = {
         "delta_s_mhz": (defaults.DELTA_S_OPERATING_MHZ, _ANY),
         "density_cm3": (defaults.DENSITY_CM3, _POS),
         "dipole_moment_cm": (RB87_D2_CYCLING_DIPOLE, _POS),
-        "signal_wavelength_nm": (CONSTANTS.signal_wavelength * 1e9, _POS),
+        "signal_wavelength_nm": (SIGNAL_WAVELENGTH * 1e9, _POS),
     },
     "geometry": {
         "length_um": (defaults.LENGTH_UM, _POS),
@@ -169,14 +169,14 @@ class RunConfig:
 
     # -- object builders ----------------------------------------------------
 
-    def eit_params(self, rho: float | None = None) -> EITParams:
+    def eit_params(self) -> EITParams:
         p = self.raw["physics"]
         return EITParams(
             gamma_e=1.0 / (p["excited_lifetime_ns"] * 1e-9),
             gamma_rg=angular_from_mhz(p["gamma_rg_mhz"]),
             omega_c=angular_from_mhz(p["omega_c_mhz"]),
             delta_c=angular_from_mhz(p["delta_c_mhz"]),
-            rho=p["density_cm3"] * 1e6 if rho is None else rho,
+            rho=p["density_cm3"] * 1e6,
             d_eg=p["dipole_moment_cm"],
         )
 

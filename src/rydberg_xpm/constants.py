@@ -11,7 +11,6 @@ https://physics.nist.gov/cuu/Constants/
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 HBAR = 1.054571817e-34  # reduced Planck constant [J s]
 EPSILON_0 = 8.8541878128e-12  # vacuum permittivity [F/m]
@@ -24,41 +23,16 @@ RB87_D2_CYCLING_DIPOLE = 2.534e-29
 
 TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Constants used by the model, bundled for explicit dependency passing.
-
-    ``c6_atomic_unit`` and ``k_s`` are derived so the invariants
-    c6_atomic_unit = hartree * bohr_radius**6 and k_s * signal_wavelength = 2*pi
-    hold by construction.
-    """
-
-    hbar: float = HBAR
-    epsilon0: float = EPSILON_0
-    bohr_radius: float = BOHR_RADIUS
-    hartree: float = HARTREE
-    signal_wavelength: float = 780e-9  # [m]
-
-    @property
-    def c6_atomic_unit(self) -> float:
-        """One atomic unit of the van der Waals coefficient [J m^6]."""
-        return self.hartree * self.bohr_radius**6
-
-    @property
-    def k_s(self) -> float:
-        """Vacuum wave vector of the signal light [1/m]."""
-        return TWO_PI / self.signal_wavelength
+SIGNAL_WAVELENGTH = 780e-9  # Rb D2 line [m]
+K_S = TWO_PI / SIGNAL_WAVELENGTH  # vacuum wave vector of the signal light [1/m]
+C6_ATOMIC_UNIT = HARTREE * BOHR_RADIUS**6  # atomic unit of C6 [J m^6]
 
 
-CONSTANTS = PhysicalConstants()
-
-
-def c6_from_atomic_units(c6_au: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def c6_from_atomic_units(c6_au: float) -> float:
     """Convert a van der Waals coefficient from atomic units to J m^6."""
     if not math.isfinite(c6_au):
         raise ValueError(f"c6_au must be finite, got {c6_au}")
-    return c6_au * constants.c6_atomic_unit
+    return c6_au * C6_ATOMIC_UNIT
 
 
 def angular_from_mhz(f: float) -> float:

@@ -14,14 +14,16 @@ feature width FEATURE_FWHM_MHZ, the two-level-minus-EIT phase difference at
 the operating point, and an operating point near the minimum of the
 no-control phase spectrum.  The model gives a phase difference of 5.999 rad,
 inside the 6.6 rad +- 10 % band of acceptance test 02 by 0.06 rad.
-OMEGA_C_MHZ is the solved root of the width condition at the calibrated
-detuning; treat these three like fitted parameters, not measured ones.
+OMEGA_C_MHZ was solved for the width condition at the calibrated detuning,
+but the width at these defaults is 3.6997904 MHz, -5.7e-5 relative to
+FEATURE_FWHM_MHZ; re-solving it would change every output.  Treat these
+three like fitted parameters, not measured ones.
 """
 
 # physics
 EXCITED_LIFETIME_NS = 26.0
 GAMMA_RG_MHZ = 0.2  # calibrated
-OMEGA_C_MHZ = 11.556026135894836  # calibrated: solves the width condition
+OMEGA_C_MHZ = 11.556026135894836  # calibrated: see module docstring
 DELTA_C_MHZ = 9.15  # calibrated: see module docstring
 DELTA_S_OPERATING_MHZ = -10.0
 DENSITY_CM3 = 1.8e12

@@ -88,12 +88,12 @@ def params_to_eit(
     params: FitParameters,
     gamma_e: float = GAMMA_E_DEFAULT,
     geom: MediumGeometry | None = None,
-    d_eg: float = RB87_D2_CYCLING_DIPOLE,
 ) -> tuple[EITParams, MediumGeometry]:
     """Build model inputs whose resonant optical depth equals od_res."""
     if geom is None:
         geom = MediumGeometry(length=defaults.LENGTH_UM * 1e-6)
     chi0_target = params.od_res / (geom.k_s * geom.length)
+    d_eg = RB87_D2_CYCLING_DIPOLE  # od_res absorbs the dipole moment
     rho = chi0_target * EPSILON_0 * HBAR * gamma_e / (2.0 * d_eg**2)
     eit = EITParams(
         gamma_e=gamma_e,
@@ -135,29 +135,22 @@ def _decode(u: np.ndarray, gamma_e: float) -> FitParameters:
     )
 
 
-def finite_difference_jacobian(
-    fun, u: np.ndarray, central: bool = True, h_scale: float = _FD_SCALE
-) -> np.ndarray:
-    """Numerically differenced Jacobian, step h_scale (1 + |u_i|) per parameter."""
-    r0 = fun(u)
-    jac = np.empty((r0.size, u.size))
+def finite_difference_jacobian(fun, u: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian, step 1e-6 (1 + |u_i|) per parameter."""
+    columns = []
     for i in range(u.size):
-        h = h_scale * (1.0 + abs(u[i]))
+        h = _FD_SCALE * (1.0 + abs(u[i]))
         up = u.copy()
         up[i] += h
-        if central:
-            um = u.copy()
-            um[i] -= h
-            jac[:, i] = (fun(up) - fun(um)) / (2.0 * h)
-        else:
-            jac[:, i] = (fun(up) - r0) / h
-    return jac
+        um = u.copy()
+        um[i] -= h
+        columns.append((fun(up) - fun(um)) / (2.0 * h))
+    return np.column_stack(columns)
 
 
 def fit_spectrum(
     data: SpectrumData,
     initial: FitParameters,
-    bounds: tuple[FitParameters, FitParameters] | None = None,
     include_phase: bool = False,
     max_iterations: int = defaults.FIT_MAX_ITERATIONS,
     gamma_e: float = GAMMA_E_DEFAULT,
@@ -171,14 +164,6 @@ def fit_spectrum(
     """
     if include_phase and data.phase is None:
         raise ValueError("include_phase requires phase rows in the data")
-    lo = hi = None
-    if bounds is not None:
-        lo = _encode(bounds[0], gamma_e)
-        hi = _encode(bounds[1], gamma_e)
-        u0 = _encode(initial, gamma_e)
-        if np.any(u0 < lo) or np.any(u0 > hi):
-            raise ValueError("initial parameters must lie within bounds")
-
     t_data = np.asarray(data.transmission, dtype=float)
     t_sigma = np.asarray(data.sigma, dtype=float)
 
@@ -190,12 +175,7 @@ def fit_spectrum(
             r = np.concatenate((r, r_ph))
         return r
 
-    def clamp(u: np.ndarray) -> np.ndarray:
-        if lo is None:
-            return u
-        return np.clip(u, lo, hi)
-
-    u = clamp(_encode(initial, gamma_e))
+    u = _encode(initial, gamma_e)
     r = residuals(u)
     cost = float(r @ r)
     lam = _LAMBDA_INIT
@@ -222,7 +202,7 @@ def fit_spectrum(
                 step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError as exc:
                 raise DegenerateJacobianError(str(exc)) from exc
-            u_try = clamp(u + step)
+            u_try = u + step
             r_try = residuals(u_try)
             cost_try = float(r_try @ r_try)
             if math.isfinite(cost_try) and cost_try <= cost:

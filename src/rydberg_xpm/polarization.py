@@ -114,16 +114,6 @@ def visibility(s: StokesVector) -> float:
     return math.sqrt(s.s_hv**2 + s.s_da**2)
 
 
-def fringe_power(p_total: float, v: float, phi: float, alpha: float) -> float:
-    """Transmitted power behind a linear polarizer at angle alpha:
-    P_alpha = P_total [1 + V cos(phi - 2 alpha)] / 2."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {v}")
-    if p_total < 0:
-        raise ValueError(f"p_total must be >= 0, got {p_total}")
-    return p_total * (1.0 + v * math.cos(phi - 2.0 * alpha)) / 2.0
-
-
 def balanced_input_state(od_minus: float) -> PolarizationState:
     """Input with |c+| = |c-| exp(-OD/2): output powers balance after the
     lossy medium, maximizing the visibility of the phase readout."""

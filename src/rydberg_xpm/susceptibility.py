@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, EPSILON_0, HBAR
+from .constants import EPSILON_0, HBAR, K_S
 from .errors import ExactEITWarning, NoEITFeatureError
 
 # width search: the feature must rise this far above the background; the
@@ -77,20 +77,21 @@ class MediumGeometry:
     """Axial extent of the medium and the signal wave vector."""
 
     length: float  # axial FWHM of the cloud [m]
-    k_s: float = CONSTANTS.k_s  # [1/m]
+    k_s: float = K_S  # [1/m]
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if not self.k_s > 0:
-            raise ValueError(f"k_s must be positive, got {self.k_s}")
+        for name in ("length", "k_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
 class SpectrumTable:
     """Row-wise susceptibility spectrum over a signal-detuning grid."""
 
-    delta_s: np.ndarray  # rad/s
     transmission: np.ndarray
     phase: np.ndarray  # rad
 
@@ -180,7 +181,7 @@ def spectrum(params: EITParams, geom: MediumGeometry, delta_s_grid) -> SpectrumT
     if ds.size > 1 and not np.all(np.diff(ds) > 0):
         raise ValueError("delta_s_grid must be strictly increasing")
     od, phase = od_and_phase(chi(params, ds), geom)
-    return SpectrumTable(delta_s=ds, transmission=transmission(od), phase=phase)
+    return SpectrumTable(transmission=transmission(od), phase=phase)
 
 
 def _feature_height(params: EITParams, geom: MediumGeometry, ds):

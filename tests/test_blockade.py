@@ -10,7 +10,6 @@ from rydberg_xpm.blockade import (
     density_scan,
     hard_sphere_controlled_phase,
     integrated_phase,
-    vdw_shift,
 )
 from rydberg_xpm.constants import HBAR, angular_from_mhz, c6_from_atomic_units
 from rydberg_xpm.errors import BlockadeClampWarning
@@ -20,27 +19,10 @@ DELTA_T = angular_from_mhz(3.7)
 
 
 class TestVdwShift:
-    def test_far_field_negligible(self, blk, params):
-        assert abs(vdw_shift(blk.c6, 1e-3)) < 1e-6 * params.gamma_e
-
-    def test_inverse_sixth_power(self, blk):
-        r = 12e-6
-        assert vdw_shift(blk.c6, r / 2) == pytest.approx(
-            64 * vdw_shift(blk.c6, r), rel=1e-12
-        )
-
-    def test_attractive_sign(self, blk):
-        assert vdw_shift(blk.c6, 10e-6) < 0.0
-
-    def test_nonpositive_distance_rejected(self, blk):
-        with pytest.raises(ValueError):
-            vdw_shift(blk.c6, 0.0)
-        with pytest.raises(ValueError):
-            vdw_shift(blk.c6, -1e-6)
-
     def test_consistency_with_blockade_radius(self, blk):
+        # the pair-state shift C6/(hbar r^6) equals the linewidth at R_b
         r_b = blockade_radius(blk.c6, DELTA_T)
-        assert abs(vdw_shift(blk.c6, r_b)) == pytest.approx(DELTA_T, rel=1e-9)
+        assert blk.c6 / (HBAR * r_b**6) == pytest.approx(DELTA_T, rel=1e-9)
 
 
 class TestBlockadeRadius:

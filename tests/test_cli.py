@@ -69,6 +69,17 @@ class TestConfigHandling:
         code = main(["spectrum", "--config", str(path), "--output-dir", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command", ["spectrum", "blockade-phase", "density-scan", "tomography"])
+    def test_infinite_wave_vector_rejected(self, tmp_path, capsys, command):
+        # schema-valid, but 2 pi / 1e-309 m overflows to an infinite k_s
+        cfg = write_config(tmp_path, {"physics": {"signal_wavelength_nm": 1e-300}})
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg, "--output-dir", str(out)])
+        assert code == 2
+        assert "k_s must be finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestSpectrumCommand:
     def test_default_run_outputs(self, tmp_path):

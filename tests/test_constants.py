@@ -5,7 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rydberg_xpm.constants import (
-    CONSTANTS,
+    BOHR_RADIUS,
+    C6_ATOMIC_UNIT,
+    HARTREE,
+    K_S,
+    SIGNAL_WAVELENGTH,
     TWO_PI,
     angular_from_mhz,
     c6_from_atomic_units,
@@ -30,13 +34,11 @@ def test_c6_default_interaction_strength():
 
 
 def test_c6_unit_invariant():
-    assert CONSTANTS.c6_atomic_unit == CONSTANTS.hartree * CONSTANTS.bohr_radius**6
+    assert C6_ATOMIC_UNIT == HARTREE * BOHR_RADIUS**6
 
 
 def test_wave_vector_invariant():
-    assert CONSTANTS.k_s * CONSTANTS.signal_wavelength == pytest.approx(
-        TWO_PI, rel=1e-15
-    )
+    assert K_S * SIGNAL_WAVELENGTH == pytest.approx(TWO_PI, rel=1e-15)
 
 
 def test_angular_zero():

@@ -103,14 +103,6 @@ class TestFitRecovery:
             hits += ok
         assert hits >= 8
 
-    def test_initial_outside_bounds_rejected(self):
-        lo = FitParameters(1.0, TRUTH.omega_c / 10, TRUTH.gamma_rg / 10,
-                           -angular_from_mhz(50))
-        hi = FitParameters(20.0, TRUTH.omega_c * 10, TRUTH.gamma_rg * 10,
-                           angular_from_mhz(50))
-        with pytest.raises(ValueError):
-            fit_spectrum(synthetic_data(), perturbed_initial(), bounds=(lo, hi))
-
     def test_iteration_cap_raises_with_best_point(self):
         far = FitParameters(
             od_res=TRUTH.od_res * 8,
@@ -157,7 +149,12 @@ class TestFitInvariants:
         for _ in range(3):
             u = _encode(TRUTH, GAMMA_E_DEFAULT) + rng.normal(0.0, 0.05, 4)
             j_fit = finite_difference_jacobian(residuals, u)
-            j_check = finite_difference_jacobian(residuals, u, h_scale=2e-6)
+            j_check = np.empty_like(j_fit)
+            for i in range(u.size):  # central differences at twice the step
+                h = 2e-6 * (1.0 + abs(u[i]))
+                step = np.zeros(u.size)
+                step[i] = h
+                j_check[:, i] = (residuals(u + step) - residuals(u - step)) / (2 * h)
             col_scale = np.abs(j_check).max(axis=0)
             assert np.all(np.abs(j_fit - j_check) <= 1e-6 * col_scale)
 

@@ -92,6 +92,17 @@ def assert_same_batch(a, b):
         assert np.array_equal(x, y), field
 
 
+def mask_basis_sums(batch, postselect):
+    """Per-basis (port k, port l) count sums by boolean masks, one basis at
+    a time: a reference independent of the kernel's tally."""
+    keep = batch.control_retrieved if postselect else np.ones(len(batch), bool)
+    return {
+        name: (int(batch.counts_k[(batch.basis_index == b) & keep].sum()),
+               int(batch.counts_l[(batch.basis_index == b) & keep].sum()))
+        for b, name in enumerate(photostatistics.BASIS_NAMES)
+    }, int(keep.sum())
+
+
 def azimuth_sigma(summary):
     """1-sigma azimuth uncertainty from the HV/DA component errors."""
     s = summary.stokes
@@ -328,6 +339,19 @@ class TestTally:
         )
         assert tally_stokes(cfg, TRUTH, balanced_state(), postselect) == whole
         assert whole.n_total == 2 * CHUNK_SHOTS + 17
+
+    @pytest.mark.parametrize("target", [0.9, 40.0, 1000.0])
+    @pytest.mark.parametrize("postselect", [True, False])
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    def test_sums_match_mask_reference(self, basis_mode, postselect, target):
+        cfg = ExperimentConfig(repetitions=CHUNK_SHOTS + 17, rng_seed=5,
+                               basis_mode=basis_mode, mean_photons_target=target)
+        batch = simulate_batch(cfg, TRUTH, balanced_state())
+        counts, n_kept = mask_basis_sums(batch, postselect)
+        for summary in (estimate_stokes(batch, postselect=postselect),
+                        tally_stokes(cfg, TRUTH, balanced_state(), postselect)):
+            assert summary.counts == counts
+            assert summary.n_postselected == n_kept
 
     def test_names_the_empty_basis(self):
         cfg = ExperimentConfig(detection_efficiency=0.0, repetitions=300)

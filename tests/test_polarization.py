@@ -12,7 +12,6 @@ from rydberg_xpm.polarization import (
     StokesVector,
     apply_medium,
     balanced_input_state,
-    fringe_power,
     stokes,
     visibility,
 )
@@ -131,43 +130,16 @@ class TestVisibility:
 
 
 class TestFringePower:
-    def test_flat_for_zero_visibility(self):
-        for alpha in np.linspace(0, math.pi, 7):
-            assert fringe_power(2.0, 0.0, 1.1, alpha) == pytest.approx(1.0)
-
-    def test_maximum_at_half_azimuth(self):
-        p, v, phi = 2.0, 0.8, 0.9
-        assert fringe_power(p, v, phi, phi / 2) == pytest.approx(p * (1 + v) / 2)
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            fringe_power(1.0, 1.2, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            fringe_power(-1.0, 0.5, 0.0, 0.0)
-
-    def test_scan_round_trip_recovers_visibility_and_azimuth(self):
-        # least-squares refit of a synthetic polarizer scan (independent path)
-        p_total, v_true, phi_true = 1.7, 0.62, -2.1
-        alpha = np.linspace(0, math.pi, 37, endpoint=False)
-        powers = np.array(
-            [fringe_power(p_total, v_true, phi_true, a) for a in alpha]
-        )
-        design = np.column_stack(
-            [np.ones_like(alpha), np.cos(2 * alpha), np.sin(2 * alpha)]
-        )
-        coef, *_ = np.linalg.lstsq(design, powers, rcond=None)
-        v_fit = math.hypot(coef[1], coef[2]) / coef[0]
-        phi_fit = math.atan2(coef[2], coef[1])
-        assert v_fit == pytest.approx(v_true, abs=1e-9)
-        assert abs(angle_diff(phi_fit, phi_true)) < 1e-9
-
     def test_consistent_with_stokes(self):
-        state = stokes(apply_medium(PolarizationState(0.9, 1.1), 0.8, 1.3))
-        p_total = 1.0
+        # polarizer scan of the state itself: the power behind a linear
+        # polarizer at angle alpha is |<alpha|psi>|^2 with
+        # <alpha|sigma+-> = exp(+-i alpha) / sqrt(2), a fringe in 2 alpha
+        # whose visibility and phase the Stokes vector must give
+        psi = apply_medium(PolarizationState(0.9, 1.1), 0.8, 1.3)
+        state = stokes(psi)
         alpha = np.linspace(0, math.pi, 25, endpoint=False)
-        powers = np.array(
-            [fringe_power(p_total, visibility(state), state.phi, a) for a in alpha]
-        )
+        powers = np.abs(psi.c_plus * np.exp(1j * alpha)
+                        + psi.c_minus * np.exp(-1j * alpha)) ** 2 / 2
         design = np.column_stack(
             [np.ones_like(alpha), np.cos(2 * alpha), np.sin(2 * alpha)]
         )

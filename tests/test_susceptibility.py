@@ -232,6 +232,12 @@ class TestTransmissionFWHM:
         width_mhz = mhz_from_angular(transmission_fwhm(params, geom))
         assert width_mhz == pytest.approx(3.7, rel=0.02)
 
+    def test_default_width_matches_calibration_target(self, params, geom):
+        # OMEGA_C_MHZ was solved for FEATURE_FWHM_MHZ; the width at the
+        # defaults is 3.6997904 MHz, -5.7e-5 relative to the target
+        width_mhz = mhz_from_angular(transmission_fwhm(params, geom))
+        assert width_mhz == pytest.approx(defaults.FEATURE_FWHM_MHZ, rel=1e-4)
+
 
 def test_kramers_kronig_consistency(params, ds_op):
     """Hilbert-transform reconstruction of the dispersion from the absorption."""
@@ -263,3 +269,10 @@ def test_invalid_params_rejected():
 def test_non_finite_params_rejected(params, name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         replace(params, **{name: value})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["length", "k_s"])
+def test_non_finite_geometry_rejected(geom, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(geom, **{name: value})
