@@ -182,6 +182,7 @@ def fit_spectrum(
     grad_norm = math.inf
     converged = False
     iterations = 0
+    jac = None  # the Jacobian at u, None once a step moves u
 
     for iterations in range(1, max_iterations + 1):
         jac = finite_difference_jacobian(residuals, u)
@@ -208,6 +209,7 @@ def fit_spectrum(
             if math.isfinite(cost_try) and cost_try <= cost:
                 rel_drop = (cost - cost_try) / max(cost, 1e-300)
                 u, r, cost = u_try, r_try, cost_try
+                jac = None
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
                 if rel_drop < _COST_RTOL:
@@ -222,8 +224,9 @@ def fit_spectrum(
             break
 
     params = _decode(u, gamma_e)
-    jac = finite_difference_jacobian(residuals, u)
-    grad_norm = float(np.max(np.abs(jac.T @ r)))
+    if jac is None:
+        jac = finite_difference_jacobian(residuals, u)
+        grad_norm = float(np.max(np.abs(jac.T @ r)))
     hess = jac.T @ jac
     try:
         cov_u = np.linalg.inv(hess)

@@ -21,14 +21,28 @@ thresholds floor(cdf 2^53) below m.  The thresholds of the six (stored,
 basis) groups sit in one sorted table, the group number in the bits above
 bit 53, so one ``searchsorted`` draws every shot's count of a port.
 
+``simulate_batch`` allocates its five output arrays once and fills them
+_BLOCK_SHOTS shots at a time, so its temporaries are those of a block, not
+of the batch: memory is O(output + 2 blocks).  The blocks are split into
+contiguous shot ranges on max(1, min(2, usable cores, n // _BLOCK_SHOTS))
+threads, the calling thread filling the first range; each range draws from
+its own Philox advanced to its first shot, and numpy releases the GIL in
+``random_raw``, ``searchsorted`` and the large ufuncs.  A batch of fewer
+than two whole blocks stays on the calling thread: a second thread would add
+its stack and a second block's temporaries for less than a block of work.
+The thresholds and tables are built once per call and only read by the
+threads.
+
 ``tally_stokes`` runs ``simulate_batch`` over CHUNK_SHOTS-shot chunks and
 keeps only the per-basis count sums, so its memory does not grow with the
-number of repetitions.
+number of repetitions; each chunk is split over the threads as above.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +58,12 @@ _MANTISSA = 2**53  # (raw >> 11) / 2^53 maps uint64 -> [0, 1)
 _GROUP_SHIFT = np.uint64(54)
 _BLOCKS_PER_SHOT = 2  # 8 uniforms per shot
 CHUNK_SHOTS = 2**18  # shots per simulate_batch call of tally_stokes
+# simulate_batch fills its shots _BLOCK_SHOTS at a time (2 MB of Philox
+# words; 2^13 to 2^16 shots ran equally fast on a 2-core Xeon with 2 MB of L2
+# per core, 2^12 and 2^17 slower) on at most _MAX_WORKERS threads, each given
+# whole blocks
+_BLOCK_SHOTS = 2**15
+_MAX_WORKERS = 2
 # The Poisson table and its temporaries grow linearly with the mean count
 # (321 MB at a mean of 10^7), so the mean is bounded far below where it
 # would fill memory.
@@ -275,35 +295,112 @@ def simulate_batch(
     truth is the tuple (od0, phi0, od1, phi1) of medium responses without
     and with a stored control excitation.  Words 0 to 4 of a shot draw
     storage, retrieval, the random basis and the counts of ports k and l.
+    The shots are filled in blocks on up to two threads (module docstring).
     """
     if n is None:
         n = config.repetitions
-    bg = np.random.Philox(key=config.rng_seed)
-    bg.advance(_BLOCKS_PER_SHOT * start_index)
-    m = bg.random_raw(8 * n).reshape(n, 8)
-    m >>= np.uint64(11)
     p_stored = 1.0 - math.exp(-config.mean_photons_control * config.p_store)
-    stored = m[:, 0] < _threshold(p_stored)
-    retrieved = stored & (m[:, 1] < _threshold(config.p_retrieve(config.delay)))
-    if config.basis_mode == "round_robin":
-        basis = np.arange(start_index, start_index + n) % 3
-    else:
-        basis = _random_basis(m[:, 2])
-    group = basis + 3 * stored
     lams = _port_lambdas(config, truth, input_state)
-    table_k, starts_k = _grouped_table([lk for lk, _ in lams])
-    table_l, starts_l = _grouped_table([ll for _, ll in lams])
-    key = group.astype(np.uint64) << _GROUP_SHIFT
-    counts_k = np.searchsorted(table_k, key | m[:, 3]) - starts_k[group]
-    key |= m[:, 4]
-    counts_l = np.searchsorted(table_l, key) - starts_l[group]
-    return ShotBatch(
-        basis_index=basis,
-        control_stored=stored,
-        control_retrieved=retrieved,
-        counts_k=counts_k,
-        counts_l=counts_l,
+    kernel = _Kernel(
+        seed=config.rng_seed,
+        start_index=start_index,
+        round_robin=config.basis_mode == "round_robin",
+        t_stored=_threshold(p_stored),
+        t_retrieved=_threshold(config.p_retrieve(config.delay)),
+        table_k=_grouped_table([lk for lk, _ in lams]),
+        table_l=_grouped_table([ll for _, ll in lams]),
     )
+    batch = ShotBatch(
+        basis_index=np.empty(n, dtype=np.int64),
+        control_stored=np.empty(n, dtype=bool),
+        control_retrieved=np.empty(n, dtype=bool),
+        counts_k=np.empty(n, dtype=np.int64),
+        counts_l=np.empty(n, dtype=np.int64),
+    )
+    workers = max(1, min(_MAX_WORKERS, _usable_cores(), n // _BLOCK_SHOTS))
+    blocks = -(-n // _BLOCK_SHOTS)
+    edges = [min(w * blocks // workers * _BLOCK_SHOTS, n) for w in range(workers + 1)]
+    errors = []
+    threads = [
+        threading.Thread(target=_fill_range_in_thread,
+                         args=(errors, kernel, batch, lo, hi))
+        for lo, hi in zip(edges[1:-1], edges[2:])
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        _fill_range(kernel, batch, edges[0], edges[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return batch
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (all of them where the platform has
+    no affinity call)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """What every block of one ``simulate_batch`` call reads: the seed and
+    first shot, the basis mode, the storage and retrieval thresholds and
+    the grouped Poisson tables of ports k and l (see ``_grouped_table``)."""
+
+    seed: int
+    start_index: int
+    round_robin: bool
+    t_stored: np.uint64
+    t_retrieved: np.uint64
+    table_k: tuple[np.ndarray, np.ndarray]
+    table_l: tuple[np.ndarray, np.ndarray]
+
+
+def _fill_range_in_thread(
+    errors: list, kernel: _Kernel, batch: ShotBatch, lo: int, hi: int
+) -> None:
+    """``_fill_range`` on a worker thread: an exception is appended to
+    ``errors``, for the calling thread to raise after ``join``."""
+    try:
+        _fill_range(kernel, batch, lo, hi)
+    except BaseException as exc:
+        errors.append(exc)
+
+
+def _fill_range(kernel: _Kernel, batch: ShotBatch, lo: int, hi: int) -> None:
+    """Fill rows [lo, hi) of ``batch`` with shots start_index + lo onwards,
+    _BLOCK_SHOTS shots at a time, from a Philox of its own."""
+    bg = np.random.Philox(key=kernel.seed)
+    bg.advance(_BLOCKS_PER_SHOT * (kernel.start_index + lo))
+    table_k, starts_k = kernel.table_k
+    table_l, starts_l = kernel.table_l
+    for a in range(lo, hi, _BLOCK_SHOTS):
+        b = min(a + _BLOCK_SHOTS, hi)
+        m = bg.random_raw(8 * (b - a)).reshape(b - a, 8)
+        m >>= np.uint64(11)
+        stored = np.less(m[:, 0], kernel.t_stored, out=batch.control_stored[a:b])
+        retrieved = np.less(m[:, 1], kernel.t_retrieved,
+                            out=batch.control_retrieved[a:b])
+        retrieved &= stored
+        basis = batch.basis_index[a:b]
+        if kernel.round_robin:
+            first = kernel.start_index + a
+            np.remainder(np.arange(first, first + b - a), 3, out=basis)
+        else:
+            basis[:] = _random_basis(m[:, 2])
+        group = basis + 3 * stored
+        key = group.astype(np.uint64) << _GROUP_SHIFT
+        np.subtract(np.searchsorted(table_k, key | m[:, 3]), starts_k[group],
+                    out=batch.counts_k[a:b])
+        key |= m[:, 4]
+        np.subtract(np.searchsorted(table_l, key), starts_l[group],
+                    out=batch.counts_l[a:b])
 
 
 def _basis_sums(batch: ShotBatch, postselect: bool) -> tuple[np.ndarray, int]:

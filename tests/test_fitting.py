@@ -138,6 +138,37 @@ class TestFitInvariants:
         cost2 = second.reduced_chisq * (GRID.size - 4)
         assert abs(cost2 - cost1) <= 1e-12 * max(1.0, cost1)
 
+    def test_refit_at_optimum_reuses_last_jacobian(self, monkeypatch):
+        # the start is the optimum, so the fit leaves on the gradient test:
+        # one residual evaluation and one Jacobian (8 model evaluations),
+        # whose Jacobian is still current for the covariance
+        from rydberg_xpm import fitting
+
+        calls = []
+
+        def counting_predict(*args, **kwargs):
+            calls.append(1)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "predict", counting_predict)
+        result = fit_spectrum(synthetic_data(), TRUTH)
+        assert result.converged and result.iterations == 1
+        assert len(calls) == 9
+
+    def test_reported_gradient_is_at_the_returned_point(self):
+        # this fit's last iteration accepts a step, so the Jacobian behind
+        # the gradient norm and the covariance must be taken again at the end
+        data = synthetic_data(np.random.default_rng(7))
+        result = fit_spectrum(data, perturbed_initial())
+
+        def residuals(u):
+            table = predict(_decode(u, GAMMA_E_DEFAULT), data.delta_s)
+            return (table.transmission - data.transmission) / data.sigma
+
+        u = _encode(result.params, GAMMA_E_DEFAULT)
+        grad = finite_difference_jacobian(residuals, u).T @ residuals(u)
+        assert result.gradient_norm == pytest.approx(np.max(np.abs(grad)), rel=1e-6)
+
     def test_jacobian_matches_central_difference_recompute(self):
         data = synthetic_data(np.random.default_rng(3))
 

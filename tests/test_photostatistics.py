@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -325,6 +326,97 @@ class TestKernelOracle:
         expected = np.minimum((u * 3.0).astype(np.int64), 2)
         assert np.array_equal(photostatistics._random_basis(m), expected)
         assert expected[1] == 2
+
+
+B = photostatistics._BLOCK_SHOTS
+
+
+def usable_cores(monkeypatch, cores):
+    """Make ``cores`` cores look usable to the kernel's worker rule."""
+    monkeypatch.setattr(photostatistics.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    @pytest.mark.parametrize("start_index", [0, 1, 2**40 + 1])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 7])
+    def test_matches_oracle_at_block_edges(self, monkeypatch, n, start_index,
+                                           basis_mode, cores):
+        usable_cores(monkeypatch, cores)
+        cfg = ExperimentConfig(basis_mode=basis_mode, rng_seed=404)
+        assert_same_batch(
+            simulate_batch(cfg, TRUTH, balanced_state(), start_index, n),
+            oracle_batch(cfg, TRUTH, balanced_state(), start_index, n),
+        )
+
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    def test_one_core_equals_two(self, monkeypatch, basis_mode):
+        cfg = ExperimentConfig(repetitions=5 * B + 3, basis_mode=basis_mode,
+                               rng_seed=17)
+        usable_cores(monkeypatch, 1)
+        one = simulate_batch(cfg, TRUTH, balanced_state(), start_index=2)
+        usable_cores(monkeypatch, 2)
+        assert_same_batch(simulate_batch(cfg, TRUTH, balanced_state(), start_index=2),
+                          one)
+
+    @pytest.mark.parametrize("cores, n, ranges", [
+        (1, 3 * B + 7, [(0, 3 * B + 7)]),
+        (2, 2 * B - 1, [(0, 2 * B - 1)]),
+        (2, 2 * B, [(0, B), (B, 2 * B)]),
+        (2, 3 * B + 7, [(0, 2 * B), (2 * B, 3 * B + 7)]),
+        (8, 5 * B, [(0, 2 * B), (2 * B, 5 * B)]),
+    ])
+    def test_worker_rule(self, monkeypatch, cores, n, ranges):
+        # whole blocks per worker, at most two workers and never more than
+        # the usable cores; the calling thread fills the first range
+        usable_cores(monkeypatch, cores)
+        fill = photostatistics._fill_range
+        calls = []
+
+        def spy(kernel, batch, lo, hi):
+            on_caller = threading.current_thread() is threading.main_thread()
+            calls.append((lo, hi, on_caller))
+            fill(kernel, batch, lo, hi)
+
+        monkeypatch.setattr(photostatistics, "_fill_range", spy)
+        simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), n=n)
+        assert sorted(calls) == [(lo, hi, lo == 0) for lo, hi in ranges]
+
+    def test_platform_without_affinity_call(self, monkeypatch):
+        # os.sched_getaffinity is missing on some platforms: every core counts
+        monkeypatch.delattr(photostatistics.os, "sched_getaffinity")
+        monkeypatch.setattr(photostatistics.os, "cpu_count", lambda: 1)
+        cfg = ExperimentConfig(rng_seed=8)
+        assert_same_batch(simulate_batch(cfg, TRUTH, balanced_state(), 5, 2 * B),
+                          oracle_batch(cfg, TRUTH, balanced_state(), 5, 2 * B))
+        assert photostatistics._usable_cores() == 1
+
+    def test_worker_error_is_raised(self, monkeypatch):
+        usable_cores(monkeypatch, 2)
+        fill = photostatistics._fill_range
+
+        def second_worker_fails(kernel, batch, lo, hi):
+            if lo > 0:
+                raise RuntimeError("worker failed")
+            fill(kernel, batch, lo, hi)
+
+        monkeypatch.setattr(photostatistics, "_fill_range", second_worker_fails)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), n=2 * B)
+
+    def test_memory_is_output_plus_blocks(self):
+        # the five output arrays take 26 MB at 2^20 shots; the blocks
+        # being filled add a few MB per worker
+        cfg = ExperimentConfig(repetitions=2**20, rng_seed=3)
+        tracemalloc.start()
+        try:
+            simulate_batch(cfg, TRUTH, balanced_state())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
 
 class TestTally:
