@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .blockade import (
-    BlockadeParams,
     blockade_radius,
     density_scan,
     hard_sphere_controlled_phase,
@@ -49,7 +48,15 @@ from .photostatistics import (
     truth_stokes,
 )
 from .polarization import balanced_input_state, visibility
-from .susceptibility import spectrum, transmission_fwhm, two_level
+from .susceptibility import (
+    EITParams,
+    chi,
+    od_and_phase,
+    spectrum,
+    transmission,
+    transmission_fwhm,
+    two_level,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,22 +95,32 @@ def _json(payload: dict, cfg: RunConfig) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def operating_spectra(cfg: RunConfig) -> tuple:
-    """EIT and two-level spectra (SpectrumTable) at the operating detuning."""
-    params, geom, ds = cfg.eit_params(), cfg.geometry(), [cfg.delta_s]
-    return spectrum(params, geom, ds), spectrum(two_level(params), geom, ds)
+def _width(cfg: RunConfig) -> float | None:
+    """The EIT transmission width [rad/s], or None without a feature."""
+    try:
+        return transmission_fwhm(cfg.eit_params(), cfg.geometry())
+    except NoEITFeatureError:
+        return None
 
 
-def medium_response(cfg: RunConfig, blk: BlockadeParams) -> tuple:
-    """(od0, phi0, od1, phi1): the radius-resolved optical depth and phase
-    without and with a stored excitation."""
+def _uniform(cfg: RunConfig, params: EITParams) -> tuple[float, float]:
+    """(OD, phase) of the uniform medium ``params`` at the operating detuning."""
+    od, phase = od_and_phase(chi(params, cfg.delta_s), cfg.geometry())
+    return float(od), float(phase)
+
+
+def _integrals(cfg: RunConfig, sign_reversed: bool) -> dict:
+    """The radius-resolved optical depth and phase without (0) and with (1)
+    a stored excitation, and the controlled phase between them."""
     params, geom, ds = cfg.eit_params(), cfg.geometry(), cfg.delta_s
+    blk = replace(cfg.blockade(), sign_reversed=sign_reversed)
     od0, phi0 = integrated_phase(params, geom, blk, ds, 0)
     od1, phi1 = integrated_phase(params, geom, blk, ds, 1)
-    return od0, phi0, od1, phi1
+    return {"od0": od0, "phi0_rad": phi0, "od1": od1, "phi1_rad": phi1,
+            "controlled_phase_rad": phi1 - phi0}
 
 
-def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     params = cfg.eit_params()
     geom = cfg.geometry()
     grid = cfg.spectrum_grid()
@@ -116,57 +133,34 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
          np.atleast_1d(eit.phase), np.atleast_1d(ref.transmission),
          np.atleast_1d(ref.phase)],
     )
-    try:
-        delta_t_mhz = mhz_from_angular(transmission_fwhm(params, geom))
-    except NoEITFeatureError:
-        delta_t_mhz = None
-    op, op_ref = operating_spectra(cfg)
+    delta_t = _width(cfg)
+    od_op, phi_op = _uniform(cfg, params)
     summary = {
-        "delta_t_mhz": delta_t_mhz,
+        "delta_t_mhz": None if delta_t is None else mhz_from_angular(delta_t),
         "operating_delta_s_mhz": cfg.raw["physics"]["delta_s_mhz"],
-        "phi0_at_operating_rad": float(op.phase[0]),
-        "transmission_at_operating": float(op.transmission[0]),
-        "phi_two_level_at_operating_rad": float(op_ref.phase[0]),
+        "phi0_at_operating_rad": phi_op,
+        "transmission_at_operating": float(transmission(od_op)),
+        "phi_two_level_at_operating_rad": _uniform(cfg, two_level(params))[1],
     }
-    return {"spectrum.csv": table, "spectrum_summary.json": _json(summary, cfg)}
+    return {"spectrum.csv": table, "spectrum_summary.json": summary}
 
 
-def _phase_block(cfg: RunConfig, sign_reversed: bool) -> dict:
-    blk = replace(cfg.blockade(), sign_reversed=sign_reversed)
-    od0, phi0, od1, phi1 = medium_response(cfg, blk)
-    return {
-        "od0": od0,
-        "phi0_rad": phi0,
-        "od1": od1,
-        "phi1_rad": phi1,
-        "controlled_phase_rad": phi1 - phi0,
-    }
-
-
-def cmd_blockade_phase(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
-    params = cfg.eit_params()
-    geom = cfg.geometry()
+def cmd_blockade_phase(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     blk = cfg.blockade()
-    try:
-        delta_t = transmission_fwhm(params, geom)
-        delta_t_mhz = mhz_from_angular(delta_t)
-    except NoEITFeatureError:
-        delta_t = None
-        delta_t_mhz = None
+    delta_t = _width(cfg)
     r_b = blockade_radius(blk.c6, delta_t) if (delta_t and blk.c6 > 0) else 0.0
-    eit_tab, ref_tab = operating_spectra(cfg)
-    phi_eit = float(eit_tab.phase[0])
-    phi_ref = float(ref_tab.phase[0])
-    hard_sphere = hard_sphere_controlled_phase(r_b, geom, phi_ref, phi_eit)
-    forward = _phase_block(cfg, sign_reversed=False)
-    reverse = _phase_block(cfg, sign_reversed=True)
+    forward, reverse = _integrals(cfg, False), _integrals(cfg, True)
+    # the forward n = 0 integral is the uniform EIT medium at the operating point
+    phi_eit = forward["phi0_rad"]
+    phi_ref = _uniform(cfg, two_level(cfg.eit_params()))[1]
+    hard_sphere = hard_sphere_controlled_phase(r_b, cfg.geometry(), phi_ref, phi_eit)
     ratio = (
         abs(forward["controlled_phase_rad"]) / abs(reverse["controlled_phase_rad"])
         if reverse["controlled_phase_rad"] != 0
         else None
     )
     payload = {
-        "delta_t_mhz": delta_t_mhz,
+        "delta_t_mhz": None if delta_t is None else mhz_from_angular(delta_t),
         "blockade_radius_um": r_b * 1e6,
         "phi_eit_rad": phi_eit,
         "phi_two_level_rad": phi_ref,
@@ -176,10 +170,10 @@ def cmd_blockade_phase(cfg: RunConfig, args: argparse.Namespace) -> dict[str, st
         "integral_sign_reversed": reverse,
         "forward_to_reversed_ratio": ratio,
     }
-    return {"blockade_phase.json": _json(payload, cfg)}
+    return {"blockade_phase.json": payload}
 
 
-def cmd_density_scan(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+def cmd_density_scan(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     scan = density_scan(
         cfg.eit_params(), cfg.geometry(), cfg.blockade(), cfg.delta_s,
         cfg.density_grid(),
@@ -201,11 +195,12 @@ def cmd_density_scan(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]
         "fit_controlled_phase": fit_dict(scan.fit_controlled),
         "controlled_phase_at_max_density_rad": float(scan.controlled_phase[-1]),
     }
-    return {"density_scan.csv": table, "density_scan.json": _json(payload, cfg)}
+    return {"density_scan.csv": table, "density_scan.json": payload}
 
 
-def cmd_tomography(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
-    od0, phi0, od1, phi1 = medium_response(cfg, cfg.blockade())
+def cmd_tomography(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
+    media = _integrals(cfg, cfg.blockade().sign_reversed)
+    od0, phi0, od1, phi1 = (media[k] for k in ("od0", "phi0_rad", "od1", "phi1_rad"))
     exp_cfg = cfg.experiment()
     input_state = balanced_input_state(od1)
     summary = tally_stokes(exp_cfg, (od0, phi0, od1, phi1), input_state,
@@ -229,7 +224,7 @@ def cmd_tomography(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
             "azimuth_rad": truth.phi, "visibility": visibility(truth),
         },
     }
-    return {"tomography.json": _json(payload, cfg)}
+    return {"tomography.json": payload}
 
 
 def _read_spectrum_csv(path: str) -> SpectrumData:
@@ -261,7 +256,7 @@ def _read_spectrum_csv(path: str) -> SpectrumData:
     )
 
 
-def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     data = _read_spectrum_csv(args.input)
     fit_cfg = cfg.raw["fit"]
     result = fit_spectrum(
@@ -292,10 +287,10 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
         "gradient_norm": result.gradient_norm,
         "converged": result.converged,
     }
-    return {"fit.json": _json(payload, cfg)}
+    return {"fit.json": payload}
 
 
-def cmd_retrieval(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+def cmd_retrieval(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     exp_cfg = cfg.experiment()
     g = cfg.raw["retrieval_grid"]
     delays = np.linspace(0.0, g["max_us"] * 1e-6, g["points"])
@@ -308,10 +303,12 @@ def cmd_retrieval(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
         "delayed_at_us": exp_cfg.delayed_at * 1e6,
         "tau_us": tau * 1e6 if 0.0 < tau < math.inf else None,
     }
-    return {"retrieval.csv": table, "retrieval.json": _json(payload, cfg)}
+    return {"retrieval.csv": table, "retrieval.json": payload}
 
 
-# subcommand -> handler(config, parsed arguments) -> {output file name: text}
+# subcommand -> handler(config, parsed arguments) -> {output file name: CSV
+# text or JSON payload}; ``main`` adds the config echo and version to each
+# payload and writes the files
 COMMANDS = {
     "spectrum": cmd_spectrum,
     "blockade-phase": cmd_blockade_phase,
@@ -352,7 +349,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # model-limit warnings are not CLI errors
             outputs = COMMANDS[args.command](cfg, args)
-        for name, text in outputs.items():
+        for name, out in outputs.items():
+            text = out if isinstance(out, str) else _json(out, cfg)
             _write_atomic(os.path.join(args.output_dir, name), text)
         return EXIT_OK
     except ConfigError as exc:

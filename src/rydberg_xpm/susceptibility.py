@@ -70,6 +70,16 @@ class EITParams:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
         if not self.d_eg > 0:
             raise ValueError(f"d_eg must be positive, got {self.d_eg}")
+        # float ** overflows with OverflowError, and an underflowing
+        # denominator in chi0 divides by zero
+        for name, derived in (("chi0", lambda: chi0(self)),
+                              ("omega_c**2", lambda: self.omega_c**2)):
+            try:
+                value = derived()
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite for these parameters")
 
 
 @dataclass(frozen=True)

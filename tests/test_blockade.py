@@ -272,6 +272,50 @@ class TestDensityScan:
         assert scan.phase0[1] == pytest.approx(2 * scan.phase0[0], rel=1e-9)
         assert scan.phase1[1] == pytest.approx(2 * scan.phase1[0], rel=1e-9)
 
+    @pytest.mark.parametrize("rho", [[1.8e18], [0.2e18, 1.8e18]])
+    @pytest.mark.parametrize("sign_reversed", [False, True])
+    @pytest.mark.parametrize("c6_scale", [1.0, 64.0, 1024.0])
+    def test_scaled_scan_matches_per_point_integrals(
+        self, params, geom, blk, ds_op, c6_scale, sign_reversed, rho
+    ):
+        # reference: both integrals evaluated afresh at every density
+        blk = replace(blk, c6=blk.c6 * c6_scale, sign_reversed=sign_reversed)
+        phase0, phase1 = np.array([
+            [integrated_phase(replace(params, rho=r), geom, blk, ds_op, n)[1]
+             for n in (0, 1)] for r in rho]).T
+        scan = density_scan(params, geom, blk, ds_op, rho)
+        for got, ref in ((scan.phase0, phase0), (scan.phase1, phase1),
+                         (scan.controlled_phase, phase1 - phase0)):
+            np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0.0)
+        # the largest density is the integral itself
+        assert scan.phase1[-1] == phase1[-1] and scan.phase0[-1] == phase0[-1]
+
+    @pytest.mark.parametrize("points", [1, 2, 9, 50])
+    def test_two_integrals_for_any_grid(self, monkeypatch, params, geom, blk,
+                                        ds_op, points):
+        import rydberg_xpm.blockade as blockade_mod
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[4])
+            return integrated_phase(*args)
+
+        monkeypatch.setattr(blockade_mod, "integrated_phase", counting)
+        density_scan(params, geom, blk, ds_op, np.linspace(2e17, 1.8e18, points))
+        assert sorted(calls) == [0, 1]
+
+    def test_quadrature_failure_propagates(self, monkeypatch, params, geom, blk,
+                                           ds_op):
+        import rydberg_xpm.blockade as blockade_mod
+        from rydberg_xpm.errors import QuadratureError
+
+        monkeypatch.setattr(
+            blockade_mod, "_GL_WEIGHTS", blockade_mod._GL_WEIGHTS * [[1.01], [1.0]]
+        )
+        with pytest.raises(QuadratureError):
+            density_scan(params, geom, blk, ds_op, np.linspace(2e17, 1.8e18, 5))
+
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["c6", "excitation_z"])

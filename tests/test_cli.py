@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -78,6 +79,23 @@ class TestConfigHandling:
         code = main([command, "--config", cfg, "--output-dir", str(out)])
         assert code == 2
         assert "k_s must be finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["spectrum", "blockade-phase", "tomography"])
+    @pytest.mark.parametrize("physics,message", [
+        # eps0 hbar gamma_e underflows to 0 in chi0
+        ({"excited_lifetime_ns": 1e300}, "chi0 must be finite"),
+        # d_eg**2 and omega_c**2 overflow a float
+        ({"dipole_moment_cm": 1e300}, "chi0 must be finite"),
+        ({"omega_c_mhz": 1e300}, "omega_c**2 must be finite"),
+    ])
+    def test_non_finite_susceptibility_rejected(self, tmp_path, capsys, command,
+                                                physics, message):
+        cfg = write_config(tmp_path, {"physics": physics})
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg, "--output-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
 
@@ -363,11 +381,16 @@ class TestRetrievalCommand:
 class TestReproducibility:
     @pytest.mark.parametrize("command,outputs", [
         (["spectrum"], ["spectrum.csv", "spectrum_summary.json"]),
+        (["blockade-phase"], ["blockade_phase.json"]),
+        (["density-scan"], ["density_scan.csv", "density_scan.json"]),
         (["tomography"], ["tomography.json"]),
+        (["fit"], ["fit.json"]),
         (["retrieval"], ["retrieval.csv", "retrieval.json"]),
     ])
     def test_byte_identical_reruns(self, tmp_path, command, outputs):
         cfg = write_config(tmp_path, SMALL_STATS)
+        if command == ["fit"]:
+            command = command + ["--input", TestFitCommand._write_synthetic(tmp_path)]
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
         for d in (dir_a, dir_b):
@@ -377,23 +400,70 @@ class TestReproducibility:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+@functools.lru_cache(maxsize=None)
+def script_stdout(name):
+    """The stdout of one of the repository's scripts, run once per session."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+
+
+def printed_numbers(stdout):
+    """label -> the decimal numbers printed after it, for 'label : ...' lines."""
+    rows = (line.split(":", 1) for line in stdout.splitlines() if ":" in line)
+    return {label.strip(): [float(x) for x in re.findall(r"[+-]?\d+\.\d+", rest)]
+            for label, rest in rows}
+
+
 class TestScripts:
     def test_headline_tomography_is_the_cli_run(self, tmp_path):
         """The script's tomography is ``tomography --seed 7`` at the
         default config: same truth and same estimate."""
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "reproduce_headline_numbers.py")],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        line = next(x for x in proc.stdout.splitlines()
-                    if x.startswith("tomography azimuth"))
+        line = next(x for x in script_stdout("reproduce_headline_numbers.py")
+                    .splitlines() if x.startswith("tomography azimuth"))
         found = re.search(r": ([+-][0-9.]+) rad \(truth ([+-][0-9.]+),", line)
         assert main(["tomography", "--seed", "7", "--output-dir", str(tmp_path)]) == 0
         out = read_json(tmp_path / "tomography.json")
         assert float(found.group(2)) == round(out["truth"]["azimuth_rad"], 3)
         assert float(found.group(1)) == round(out["azimuth_rad"], 3)
+
+    def test_headline_phases_are_the_blockade_payload(self, tmp_path):
+        """Every blockade line of the script is ``blockade-phase`` at the
+        default config, rounded as printed."""
+        printed = printed_numbers(script_stdout("reproduce_headline_numbers.py"))
+        assert main(["blockade-phase", "--output-dir", str(tmp_path)]) == 0
+        b = read_json(tmp_path / "blockade_phase.json")
+        fwd, rev = b["integral"], b["integral_sign_reversed"]
+        expected = {
+            "transparency feature width": [round(b["delta_t_mhz"], 3)],
+            "blockade radius": [round(b["blockade_radius_um"], 2)],
+            "fully blockaded phase": [round(b["phi_two_level_rad"], 3)],
+            "two-level minus EIT difference": [round(b["phase_difference_rad"], 3)],
+            "hard-sphere controlled phase": [
+                round(b["hard_sphere_controlled_phase_rad"], 3)],
+            "radius-resolved integral": [round(fwd["controlled_phase_rad"], 3),
+                                         round(fwd["od0"], 3), round(fwd["od1"], 3)],
+            "sign-reversed controlled phase": [
+                round(abs(rev["controlled_phase_rad"]), 3),
+                round(b["forward_to_reversed_ratio"], 2)],
+        }
+        assert {label: printed[label] for label in expected} == expected
+        assert printed["phase at operating point"][0] == round(b["phi_eit_rad"], 3)
+
+    def test_scan_unit_scale_row_is_blockade_phase(self, tmp_path):
+        """The scale-1 row of the sharpness scan is ``blockade-phase`` at the
+        default config, rounded as printed."""
+        rows = script_stdout("scan_blockade_sharpness.py").splitlines()
+        row = next(line.split() for line in rows if line.split()[0] == "1")
+        assert main(["blockade-phase", "--output-dir", str(tmp_path)]) == 0
+        b = read_json(tmp_path / "blockade_phase.json")
+        ctrl = b["integral"]["controlled_phase_rad"]
+        box = b["hard_sphere_controlled_phase_rad"]
+        assert row == ["1", f"{b['blockade_radius_um']:.2f}", f"{ctrl:.4f}",
+                       f"{box:.4f}", f"{abs(ctrl - box) / box:.2%}"]
 
 
 SCIPY_FREE_RUN = """

@@ -276,3 +276,17 @@ def test_non_finite_params_rejected(params, name, value):
 def test_non_finite_geometry_rejected(geom, name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         replace(geom, **{name: value})
+
+
+@pytest.mark.parametrize("field,value,name", [
+    # eps0 hbar gamma_e underflows to 0: chi0 divides by zero
+    ("gamma_e", 1e-291, "chi0"),
+    # d_eg**2 and omega_c**2 overflow a float
+    ("d_eg", 1e300, "chi0"),
+    ("omega_c", 1e300, "omega_c\\*\\*2"),
+    # every factor finite, the product infinite
+    ("rho", 1e308, "chi0"),
+])
+def test_non_finite_derived_quantities_rejected(params, field, value, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(params, **{field: value})
