@@ -8,7 +8,8 @@ and JSON (with a config_echo block and the tool version), written
 atomically.  Identical config and seed produce byte-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 insufficient statistics.
+4 insufficient statistics.  Model-limit warnings change neither the exit
+code nor the outputs; each distinct one is printed once on stderr.
 """
 
 from __future__ import annotations
@@ -228,25 +229,44 @@ def cmd_tomography(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
 
 
 def _read_spectrum_csv(path: str) -> SpectrumData:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        required = ["delta_s_mhz", "transmission", "sigma"]
-        for col in required:
-            if col not in header:
-                raise ConfigError("<fit input>", f"missing CSV column {col!r}")
-        optional = ["phase_rad", "phase_sigma"]
-        has_phase = all(c in header for c in optional)
-        columns = required + (optional if has_phase else [])
-        idx = {c: header.index(c) for c in columns}
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                parts = line.split(",")
-                rows.append([float(parts[idx[c]]) for c in columns])
+    """The measured spectrum in a CSV file.  A file that cannot be read, a
+    missing column, and a row that is short or holds a cell that is not a
+    finite number are config errors naming the file and the row's line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(path, f"cannot read the fit input: {exc.strerror}") from None
+    header = lines[0].strip().split(",") if lines else []
+    required = ["delta_s_mhz", "transmission", "sigma"]
+    for col in required:
+        if col not in header:
+            raise ConfigError(path, f"missing CSV column {col!r}")
+    optional = ["phase_rad", "phase_sigma"]
+    has_phase = all(c in header for c in optional)
+    columns = required + (optional if has_phase else [])
+    idx = {c: header.index(c) for c in columns}
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        where = f"{path}:{number}"
+        try:
+            row = [float(parts[idx[c]]) for c in columns]
+        except IndexError:
+            raise ConfigError(where, f"{len(parts)} cells, too few for the "
+                                     f"header's columns") from None
+        except ValueError as exc:
+            raise ConfigError(where, str(exc)) from None
+        for c, v in zip(columns, row):
+            if not math.isfinite(v):
+                raise ConfigError(where, f"column {c!r} is not finite: {v}")
+        rows.append(row)
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
-        raise ConfigError("<fit input>", "no data rows")
+        raise ConfigError(path, "no data rows")
     return SpectrumData(
         delta_s=angular_from_mhz(1.0) * data[:, 0],
         transmission=data[:, 1],
@@ -345,10 +365,22 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("statistics.rng_seed", "must be non-negative")
             cfg.raw["statistics"]["rng_seed"] = args.seed
-        os.makedirs(args.output_dir, exist_ok=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # model-limit warnings are not CLI errors
-            outputs = COMMANDS[args.command](cfg, args)
+        try:
+            os.makedirs(args.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                "--output-dir", f"cannot create {args.output_dir}: {exc.strerror}"
+            ) from None
+        # model-limit warnings are not errors: each distinct one is reported
+        # once on stderr, also when the command then fails
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outputs = COMMANDS[args.command](cfg, args)
+            finally:
+                for text in dict.fromkeys(f"{w.category.__name__}: {w.message}"
+                                          for w in caught):
+                    print(f"warning: {text}", file=sys.stderr)
         for name, out in outputs.items():
             text = out if isinstance(out, str) else _json(out, cfg)
             _write_atomic(os.path.join(args.output_dir, name), text)

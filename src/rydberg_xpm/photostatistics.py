@@ -19,7 +19,11 @@ kernel never forms u: ``u < p`` is tested as ``m < ceil(p 2^53)``, and a
 Poisson draw by CDF inversion (the number of CDF values below u) counts the
 thresholds floor(cdf 2^53) below m.  The thresholds of the six (stored,
 basis) groups sit in one sorted table, the group number in the bits above
-bit 53, so one ``searchsorted`` draws every shot's count of a port.
+bit 53.  A count is 0 exactly when m is at most its group's first
+threshold, floor(e^-lam 2^53) (2^53 when lam = 0), which holds for most
+shots at a mean below one photon; so a port's counts are zeroed and one
+``searchsorted`` of the table draws only the shots above that threshold.
+``estimate_stokes`` likewise bins only the kept shots that count a photon.
 
 ``simulate_batch`` allocates its five output arrays once and fills them
 _BLOCK_SHOTS shots at a time, so its temporaries are those of a block, not
@@ -64,6 +68,8 @@ CHUNK_SHOTS = 2**18  # shots per simulate_batch call of tally_stokes
 # whole blocks
 _BLOCK_SHOTS = 2**15
 _MAX_WORKERS = 2
+# the round-robin bases of a block: the slice starting at its first shot mod 3
+_ROUND_ROBIN = np.arange(_BLOCK_SHOTS + 2) % 3
 # The Poisson table and its temporaries grow linearly with the mean count
 # (321 MB at a mean of 10^7), so the mean is bounded far below where it
 # would fill memory.
@@ -197,15 +203,19 @@ def _random_basis(m: np.ndarray) -> np.ndarray:
     return np.minimum((m * (3.0 / _MANTISSA)).astype(np.int64), 2)
 
 
-def _grouped_table(lams) -> tuple[np.ndarray, np.ndarray]:
+def _grouped_table(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One sorted table of every group's Poisson thresholds, keyed
-    (group << 54) | threshold, and the index where each group starts."""
-    parts = [
-        (np.uint64(g) << _GROUP_SHIFT) | _poisson_thresholds(lam)
-        for g, lam in enumerate(lams)
-    ]
+    (group << 54) | threshold, the index where each group starts, and each
+    group's first threshold floor(e^-lam 2^53), or 2^53 for an empty table
+    (lam = 0): a count is 0 exactly when m is at most its group's first
+    threshold."""
+    parts = [_poisson_thresholds(lam) for lam in lams]
     starts = np.cumsum([0] + [part.size for part in parts[:-1]])
-    return np.concatenate(parts), starts
+    first = np.array([part[0] if part.size else _MANTISSA for part in parts],
+                     dtype=np.uint64)
+    table = np.concatenate([(np.uint64(g) << _GROUP_SHIFT) | part
+                            for g, part in enumerate(parts)])
+    return table, starts, first
 
 
 def _depolarized_port_powers(
@@ -358,8 +368,8 @@ class _Kernel:
     round_robin: bool
     t_stored: np.uint64
     t_retrieved: np.uint64
-    table_k: tuple[np.ndarray, np.ndarray]
-    table_l: tuple[np.ndarray, np.ndarray]
+    table_k: tuple[np.ndarray, np.ndarray, np.ndarray]
+    table_l: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _fill_range_in_thread(
@@ -378,10 +388,10 @@ def _fill_range(kernel: _Kernel, batch: ShotBatch, lo: int, hi: int) -> None:
     _BLOCK_SHOTS shots at a time, from a Philox of its own."""
     bg = np.random.Philox(key=kernel.seed)
     bg.advance(_BLOCKS_PER_SHOT * (kernel.start_index + lo))
-    table_k, starts_k = kernel.table_k
-    table_l, starts_l = kernel.table_l
     for a in range(lo, hi, _BLOCK_SHOTS):
         b = min(a + _BLOCK_SHOTS, hi)
+        # every word is shifted, words 5 to 7 unused too: numpy shifts the
+        # contiguous 8 words of a shot several times faster than a strided 5
         m = bg.random_raw(8 * (b - a)).reshape(b - a, 8)
         m >>= np.uint64(11)
         stored = np.less(m[:, 0], kernel.t_stored, out=batch.control_stored[a:b])
@@ -390,34 +400,45 @@ def _fill_range(kernel: _Kernel, batch: ShotBatch, lo: int, hi: int) -> None:
         retrieved &= stored
         basis = batch.basis_index[a:b]
         if kernel.round_robin:
-            first = kernel.start_index + a
-            np.remainder(np.arange(first, first + b - a), 3, out=basis)
+            phase = (kernel.start_index + a) % 3
+            basis[:] = _ROUND_ROBIN[phase:phase + b - a]
         else:
             basis[:] = _random_basis(m[:, 2])
         group = basis + 3 * stored
-        key = group.astype(np.uint64) << _GROUP_SHIFT
-        np.subtract(np.searchsorted(table_k, key | m[:, 3]), starts_k[group],
-                    out=batch.counts_k[a:b])
-        key |= m[:, 4]
-        np.subtract(np.searchsorted(table_l, key), starts_l[group],
-                    out=batch.counts_l[a:b])
+        _draw_counts(kernel.table_k, group, m[:, 3], batch.counts_k[a:b])
+        _draw_counts(kernel.table_l, group, m[:, 4], batch.counts_l[a:b])
+
+
+def _draw_counts(table, group: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """The Poisson counts of one port into ``out``: 0 where m is at most
+    its group's first threshold, and one grouped ``searchsorted`` (see
+    ``_grouped_table``) of the remaining shots."""
+    keys, starts, first = table
+    out.fill(0)
+    hit = np.flatnonzero(m > first[group])
+    g = group[hit]
+    key = (g.astype(np.uint64) << _GROUP_SHIFT) | m[hit]
+    out[hit] = np.searchsorted(keys, key) - starts[g]
 
 
 def _basis_sums(batch: ShotBatch, postselect: bool) -> tuple[np.ndarray, int]:
     """Summed (port k, port l) counts per basis, shape (3, 2), and the
-    number of shots kept, over all shots or the retrieved ones."""
-    kept = batch.control_retrieved if postselect else True
-    # bins 0-2 take the dropped shots of each basis, bins 3-5 the kept ones.
+    number of shots kept, over all shots or the retrieved ones.  Only the
+    kept shots that count a photon are binned: the rest add nothing."""
+    counted = np.logical_or(batch.counts_k, batch.counts_l)
+    if postselect:
+        counted &= batch.control_retrieved
+    hit = np.flatnonzero(counted)
+    bins = batch.basis_index[hit]
     # The float sums are exact below 2^53: a port counts fewer than 1.5e3
     # photons per shot (MAX_MEAN_PHOTONS_TARGET caps the Poisson table), so
     # a batch would need over 6e12 shots to reach it.
-    bins = batch.basis_index + 3 * kept
     sums = np.column_stack([
-        np.bincount(bins, weights=counts, minlength=6)[3:]
+        np.bincount(bins, weights=counts[hit], minlength=3)
         for counts in (batch.counts_k, batch.counts_l)
     ]).astype(np.int64)
-    n_kept = int(np.count_nonzero(kept)) if postselect else len(batch)
-    return sums, n_kept
+    n_kept = np.count_nonzero(batch.control_retrieved) if postselect else len(batch)
+    return sums, int(n_kept)
 
 
 def _summarize_counts(

@@ -99,6 +99,39 @@ class TestConfigHandling:
         assert list(out.iterdir()) == []
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize("under", [False, True])
+    def test_existing_file_exits_2(self, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        target = blocker / "sub" if under else blocker
+        code = main(["retrieval", "--output-dir", str(target)])
+        assert code == 2
+        assert f"--output-dir: cannot create {target}" in capsys.readouterr().err
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+class TestWarnings:
+    def test_clamped_blockade_sphere_is_reported(self, tmp_path, capsys):
+        # 2 R_b = 91 um exceeds the 61 um medium at this C6
+        cfg = write_config(tmp_path, {"blockade": {"c6_atomic_units": 2.3e26}})
+        out = tmp_path / "out"
+        code = main(["blockade-phase", "--config", cfg, "--output-dir", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("BlockadeClampWarning") == 1
+        assert ("warning: BlockadeClampWarning: blockade sphere exceeds the medium"
+                in err)
+        payload = read_json(out / "blockade_phase.json")
+        assert (payload["hard_sphere_controlled_phase_rad"]
+                == payload["phase_difference_rad"])
+
+    def test_default_run_reports_nothing(self, tmp_path, capsys):
+        assert main(["blockade-phase", "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestSpectrumCommand:
     def test_default_run_outputs(self, tmp_path):
         code = main(["spectrum", "--output-dir", str(tmp_path)])
@@ -318,6 +351,38 @@ class TestFitCommand:
         code = main(["fit", "--input", str(path), "--output-dir", str(tmp_path)])
         assert code == 2
         assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+    ])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, kind, expected):
+        path = tmp_path / "measured.csv"
+        if kind == "directory":
+            path.mkdir()
+        out = tmp_path / "out"
+        code = main(["fit", "--input", str(path), "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: cannot read the fit input: {expected}" in err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("row, message", [
+        ("-2.5,0.4", "2 cells, too few"),
+        ("-2.5,nan,0.01", "column 'transmission' is not finite: nan"),
+        ("-2.5,0.4,inf", "column 'sigma' is not finite: inf"),
+        ("-inf,0.4,0.01", "column 'delta_s_mhz' is not finite: -inf"),
+        ("-2.5,0.4,one", "could not convert string to float: 'one'"),
+    ])
+    def test_bad_row_exits_2_naming_its_line(self, tmp_path, capsys, row, message):
+        # line 1 is the header, line 3 the bad row; the blank line counts
+        path = tmp_path / "measured.csv"
+        path.write_text(f"delta_s_mhz,transmission,sigma\n-3,0.5,0.01\n{row}\n\n"
+                        "-2,0.5,0.01\n")
+        code = main(["fit", "--input", str(path), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert f"{path}:3: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_joint_fit_with_phase_columns(self, tmp_path):
         from rydberg_xpm.constants import angular_from_mhz, mhz_from_angular

@@ -305,6 +305,30 @@ class TestKernelOracle:
         assert np.array_equal(np.searchsorted(thresholds, m),
                               oracle_poisson(u, lam))
 
+    @pytest.mark.parametrize("lams", [
+        [1e-300, 0.011, 0.106, 0.9, 40.0, 1000.0],
+        [0.0, 0.011, 0.0, 0.9, 0.0, 1000.0],  # only some groups empty
+        [0.0] * 6,
+    ])
+    def test_zero_count_cut_at_its_edges(self, lams):
+        # each group's first threshold and its neighbours, and both ends of
+        # the 53-bit range, drawn through the zero cut and the grouped table
+        # in one call, the groups interleaved
+        table = photostatistics._grouped_table(lams)
+        first = table[2].astype(np.int64)
+        ms, expected = [], []
+        for g, lam in enumerate(lams):
+            assert first[g] == (photostatistics._poisson_thresholds(lam)[0]
+                                if lam else 2**53)
+            m = np.array([first[g] - 1, first[g], first[g] + 1, 0, 2**53 - 1])
+            m = np.clip(m, 0, 2**53 - 1).astype(np.uint64)
+            ms.append(m)
+            expected.append(oracle_poisson(m.astype(np.float64) * 2.0**-53, lam))
+        group = np.tile(np.arange(len(lams)), 5)
+        out = np.full(group.size, -1, dtype=np.int64)
+        photostatistics._draw_counts(table, group, np.stack(ms, axis=1).ravel(), out)
+        assert np.array_equal(out, np.stack(expected, axis=1).ravel())
+
     @pytest.mark.parametrize("p", [0.0, 2.0**-53, 1e-300, math.sqrt(0.2),
                                    1.0 - math.exp(-0.6 * math.sqrt(0.2)),
                                    1.0 - 2.0**-53, 1.0])
@@ -487,6 +511,26 @@ class TestEstimator:
         with pytest.raises(InsufficientStatisticsError) as err:
             estimate_stokes(batch, postselect=True)
         assert err.value.basis == "DA"
+
+    @pytest.mark.parametrize("postselect", [True, False])
+    def test_batch_without_counts(self, postselect):
+        # no shot detects a photon: nothing is binned, every sum is an exact
+        # integer 0 and the kept shots are still counted
+        batch = ShotBatch(
+            basis_index=np.array([0, 1, 2, 0, 1], dtype=np.int64),
+            control_stored=np.array([1, 1, 0, 1, 0], dtype=bool),
+            control_retrieved=np.array([1, 0, 0, 1, 0], dtype=bool),
+            counts_k=np.zeros(5, dtype=np.int64),
+            counts_l=np.zeros(5, dtype=np.int64),
+        )
+        sums, n_kept = photostatistics._basis_sums(batch, postselect)
+        assert sums.dtype == np.int64
+        assert np.array_equal(sums, np.zeros((3, 2), dtype=np.int64))
+        assert n_kept == (2 if postselect else 5)
+        assert isinstance(n_kept, int)
+        with pytest.raises(InsufficientStatisticsError) as err:
+            estimate_stokes(batch, postselect=postselect)
+        assert err.value.basis == "HV"
 
     def test_converges_to_uncontrolled_state_without_storage(self):
         cfg = ExperimentConfig(
