@@ -7,9 +7,11 @@ subcommand selection.  Outputs are CSV (header row, 17 significant digits)
 and JSON (with a config_echo block and the tool version), written
 atomically.  Identical config and seed produce byte-identical outputs.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 insufficient statistics.  Model-limit warnings change neither the exit
-code nor the outputs; each distinct one is printed once on stderr.
+Exit codes: 0 success, else the ``exit_code`` of the RydbergXPMError that
+ended the run (2 config error, 3 numerical failure, 4 insufficient
+statistics; see ``errors``); any other exception is a bug.  Model-limit
+warnings change neither the exit code nor the outputs; each distinct one is
+printed once on stderr.
 """
 
 from __future__ import annotations
@@ -33,15 +35,9 @@ from .blockade import (
     integrated_phase,
 )
 from .config import RunConfig
-from .constants import angular_from_mhz, mhz_from_angular
-from .errors import (
-    ConfigError,
-    FitNonConvergenceError,
-    InsufficientStatisticsError,
-    NoEITFeatureError,
-    RydbergXPMError,
-)
-from .fitting import SpectrumData, fit_spectrum
+from .constants import mhz_from_angular
+from .errors import ConfigError, NoEITFeatureError, RydbergXPMError
+from .fitting import fit_spectrum
 from .photostatistics import (
     retrieval_efficiency,
     retrieval_time_constant,
@@ -58,12 +54,6 @@ from .susceptibility import (
     transmission_fwhm,
     two_level,
 )
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_STATISTICS = 4
-
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -228,56 +218,8 @@ def cmd_tomography(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     return {"tomography.json": payload}
 
 
-def _read_spectrum_csv(path: str) -> SpectrumData:
-    """The measured spectrum in a CSV file.  A file that cannot be read, a
-    missing column, and a row that is short or holds a cell that is not a
-    finite number are config errors naming the file and the row's line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(path, f"cannot read the fit input: {exc.strerror}") from None
-    header = lines[0].strip().split(",") if lines else []
-    required = ["delta_s_mhz", "transmission", "sigma"]
-    for col in required:
-        if col not in header:
-            raise ConfigError(path, f"missing CSV column {col!r}")
-    optional = ["phase_rad", "phase_sigma"]
-    has_phase = all(c in header for c in optional)
-    columns = required + (optional if has_phase else [])
-    idx = {c: header.index(c) for c in columns}
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        where = f"{path}:{number}"
-        try:
-            row = [float(parts[idx[c]]) for c in columns]
-        except IndexError:
-            raise ConfigError(where, f"{len(parts)} cells, too few for the "
-                                     f"header's columns") from None
-        except ValueError as exc:
-            raise ConfigError(where, str(exc)) from None
-        for c, v in zip(columns, row):
-            if not math.isfinite(v):
-                raise ConfigError(where, f"column {c!r} is not finite: {v}")
-        rows.append(row)
-    data = np.asarray(rows, dtype=float)
-    if data.size == 0:
-        raise ConfigError(path, "no data rows")
-    return SpectrumData(
-        delta_s=angular_from_mhz(1.0) * data[:, 0],
-        transmission=data[:, 1],
-        sigma=data[:, 2],
-        phase=data[:, 3] if has_phase else None,
-        phase_sigma=data[:, 4] if has_phase else None,
-    )
-
-
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
-    data = _read_spectrum_csv(args.input)
+    data = cfg.spectrum_data(args.input)
     fit_cfg = cfg.raw["fit"]
     result = fit_spectrum(
         data,
@@ -362,9 +304,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("statistics.rng_seed", "must be non-negative")
-            cfg.raw["statistics"]["rng_seed"] = args.seed
+            cfg = cfg.with_seed(args.seed)
         try:
             os.makedirs(args.output_dir, exist_ok=True)
         except OSError as exc:
@@ -384,33 +324,10 @@ def main(argv=None) -> int:
         for name, out in outputs.items():
             text = out if isinstance(out, str) else _json(out, cfg)
             _write_atomic(os.path.join(args.output_dir, name), text)
-        return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InsufficientStatisticsError as exc:
-        print(f"insufficient statistics: {exc}", file=sys.stderr)
-        return EXIT_STATISTICS
-    except FitNonConvergenceError as exc:
-        best = exc.best_result
-        print(f"fit failed to converge: {exc}", file=sys.stderr)
-        print(
-            f"best point: od_res={best.params.od_res:.6g} "
-            f"omega_c={mhz_from_angular(best.params.omega_c):.6g} MHz "
-            f"gamma_rg={mhz_from_angular(best.params.gamma_rg):.6g} MHz "
-            f"delta_c={mhz_from_angular(best.params.delta_c):.6g} MHz "
-            f"(reduced chisq {best.reduced_chisq:.6g})",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
+        return 0
     except RydbergXPMError as exc:
-        # NoEITFeatureError, QuadratureError, DegenerateJacobianError
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        # parameter invariants violated by the supplied configuration
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

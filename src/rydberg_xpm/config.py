@@ -1,17 +1,23 @@
-"""Run configuration: one self-describing JSON document.
+"""Run configuration: one self-describing JSON document, and the measured
+spectrum a fit reads.
 
 Every key defaults to the modeled experiment's value in ``defaults``;
 frequencies are plain MHz, lengths um, densities cm^-3 -- ``RunConfig``
 converts them to angular/SI units and is the one builder of the model
 objects.  Unknown keys are rejected with the dotted path of the offending
-key.
+key, a value out of its range likewise.  What only a model dataclass can
+check, a quantity derived from several keys, is a ConfigError naming the
+section of the builder that failed.  Each builder runs only when a
+subcommand needs its object.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -26,7 +32,7 @@ from .constants import (
     c6_from_atomic_units,
 )
 from .errors import ConfigError
-from .fitting import FitParameters
+from .fitting import FitParameters, SpectrumData
 from .photostatistics import MAX_MEAN_PHOTONS_TARGET, ExperimentConfig
 from .susceptibility import EITParams, MediumGeometry
 
@@ -34,6 +40,13 @@ _POS = ("positive", lambda v: v > 0)
 _NONNEG = ("non-negative", lambda v: v >= 0)
 _UNIT = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _ANY = ("finite", lambda v: True)
+# Each grid point is a CSV row formatted in Python and held in memory before
+# the file is written, about 0.5 s and 10 MB per 10^5 rows; 10^5 points
+# resolve the default 60 MHz spectrum to 0.6 kHz.
+MAX_GRID_POINTS = 10**5
+_GRID_POINTS = (f"in [1, {MAX_GRID_POINTS}]", lambda v: 1 <= v <= MAX_GRID_POINTS)
+# numpy's Philox takes a 128-bit key
+_SEED = ("non-negative and below 2**128", lambda v: 0 <= v < 2**128)
 
 # section -> key -> (default, (description, predicate)); a key accepts the
 # type of its default, and a float default accepts ints as well
@@ -59,12 +72,12 @@ _TABLE: dict[str, dict[str, tuple[Any, tuple]]] = {
     "spectrum_grid": {
         "min_mhz": (defaults.SPECTRUM_MIN_MHZ, _ANY),
         "max_mhz": (defaults.SPECTRUM_MAX_MHZ, _ANY),
-        "points": (defaults.SPECTRUM_POINTS, _POS),
+        "points": (defaults.SPECTRUM_POINTS, _GRID_POINTS),
     },
     "density_grid": {
         "min_cm3": (defaults.DENSITY_MIN_CM3, _POS),
         "max_cm3": (defaults.DENSITY_CM3, _POS),
-        "points": (defaults.DENSITY_POINTS, _POS),
+        "points": (defaults.DENSITY_POINTS, _GRID_POINTS),
     },
     "statistics": {
         "mean_photons_control": (defaults.MEAN_PHOTONS_CONTROL, _NONNEG),
@@ -80,7 +93,7 @@ _TABLE: dict[str, dict[str, tuple[Any, tuple]]] = {
         "delayed_at_us": (defaults.DELAYED_AT_US, _POS),
         "delay_us": (defaults.DELAY_US, _NONNEG),
         "repetitions": (defaults.REPETITIONS, _POS),
-        "rng_seed": (defaults.RNG_SEED, _NONNEG),
+        "rng_seed": (defaults.RNG_SEED, _SEED),
         "postselect": (defaults.POSTSELECT, _ANY),
         "basis_mode": (defaults.BASIS_MODE, ("'round_robin' or 'random'",
                                              lambda v: v in ("round_robin", "random"))),
@@ -98,7 +111,7 @@ _TABLE: dict[str, dict[str, tuple[Any, tuple]]] = {
     },
     "retrieval_grid": {
         "max_us": (defaults.RETRIEVAL_MAX_US, _POS),
-        "points": (defaults.RETRIEVAL_POINTS, _POS),
+        "points": (defaults.RETRIEVAL_POINTS, _GRID_POINTS),
     },
 }
 
@@ -131,8 +144,12 @@ def _validate(raw: dict, schema=None, prefix: str = "") -> None:
                 path, f"expected {'/'.join(t.__name__ for t in types)}, "
                 f"got {type(value).__name__}"
             )
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            if not math.isfinite(value):
+        if float in types:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise ConfigError(path, "must be finite")
         if not pred(value):
             raise ConfigError(path, f"must be {desc} (got {value!r})")
@@ -163,51 +180,76 @@ class RunConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from exc
         return cls(data)
+
+    def with_seed(self, seed: int) -> "RunConfig":
+        """This configuration with ``statistics.rng_seed`` set to ``seed``,
+        checked as the config key is."""
+        return RunConfig(_merge(self.raw, {"statistics": {"rng_seed": seed}}))
 
     # -- object builders ----------------------------------------------------
 
     def eit_params(self) -> EITParams:
         p = self.raw["physics"]
-        return EITParams(
-            gamma_e=1.0 / (p["excited_lifetime_ns"] * 1e-9),
-            gamma_rg=angular_from_mhz(p["gamma_rg_mhz"]),
-            omega_c=angular_from_mhz(p["omega_c_mhz"]),
-            delta_c=angular_from_mhz(p["delta_c_mhz"]),
-            rho=p["density_cm3"] * 1e6,
-            d_eg=p["dipole_moment_cm"],
-        )
+        with _checked("physics"):
+            return EITParams(
+                gamma_e=1.0 / (p["excited_lifetime_ns"] * 1e-9),
+                gamma_rg=angular_from_mhz(p["gamma_rg_mhz"]),
+                omega_c=angular_from_mhz(p["omega_c_mhz"]),
+                delta_c=angular_from_mhz(p["delta_c_mhz"]),
+                rho=p["density_cm3"] * 1e6,
+                d_eg=p["dipole_moment_cm"],
+            )
 
     def geometry(self) -> MediumGeometry:
         g = self.raw["geometry"]
-        lam = self.raw["physics"]["signal_wavelength_nm"] * 1e-9
-        return MediumGeometry(length=g["length_um"] * 1e-6, k_s=TWO_PI / lam)
+        with _checked("geometry"):
+            lam = self.raw["physics"]["signal_wavelength_nm"] * 1e-9
+            return MediumGeometry(length=g["length_um"] * 1e-6, k_s=TWO_PI / lam)
 
     def blockade(self) -> BlockadeParams:
-        b = self.raw["blockade"]
-        return BlockadeParams(
-            c6=c6_from_atomic_units(b["c6_atomic_units"]),
-            excitation_z=self.raw["geometry"]["excitation_z_um"] * 1e-6,
-            sign_reversed=b["sign_reversed"],
-        )
+        b, g = self.raw["blockade"], self.raw["geometry"]
+        if g["excitation_z_um"] > g["length_um"]:
+            raise ConfigError("geometry.excitation_z_um", "must lie within the "
+                              f"medium, at most length_um = {g['length_um']!r} "
+                              f"(got {g['excitation_z_um']!r})")
+        with _checked("blockade"):
+            return BlockadeParams(
+                c6=c6_from_atomic_units(b["c6_atomic_units"]),
+                excitation_z=g["excitation_z_um"] * 1e-6,
+                sign_reversed=b["sign_reversed"],
+            )
 
     @property
     def delta_s(self) -> float:
-        return angular_from_mhz(self.raw["physics"]["delta_s_mhz"])
+        delta_s = angular_from_mhz(self.raw["physics"]["delta_s_mhz"])
+        if not math.isfinite(delta_s):
+            raise ConfigError("physics.delta_s_mhz", "overflows in rad/s")
+        return delta_s
 
     def spectrum_grid(self) -> np.ndarray:
-        g = self.raw["spectrum_grid"]
-        if g["points"] > 1 and not g["max_mhz"] > g["min_mhz"]:
-            raise ConfigError("spectrum_grid.max_mhz", "must exceed min_mhz")
-        return angular_from_mhz(1.0) * np.linspace(g["min_mhz"], g["max_mhz"], g["points"])
+        return self._grid("spectrum_grid", "min_mhz", "max_mhz", angular_from_mhz(1.0))
 
     def density_grid(self) -> np.ndarray:
-        g = self.raw["density_grid"]
-        if g["points"] > 1 and not g["max_cm3"] > g["min_cm3"]:
-            raise ConfigError("density_grid.max_cm3", "must exceed min_cm3")
-        return 1e6 * np.linspace(g["min_cm3"], g["max_cm3"], g["points"])
+        grid = self._grid("density_grid", "min_cm3", "max_cm3", 1e6)
+        with _checked("density_grid.max_cm3"):  # the scan's medium
+            replace(self.eit_params(), rho=grid[-1])
+        return grid
+
+    def _grid(self, section: str, lo: str, hi: str, scale: float) -> np.ndarray:
+        """``points`` values from ``lo`` to ``hi``, times ``scale``: finite and
+        strictly increasing."""
+        g = self.raw[section]
+        if g["points"] > 1 and not g[hi] > g[lo]:
+            raise ConfigError(f"{section}.{hi}", f"must exceed {lo}")
+        # float(): numpy keeps an int beyond int64 as a Python object
+        grid = scale * np.linspace(float(g[lo]), float(g[hi]), g["points"])
+        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+            raise ConfigError(section, f"{g['points']} points from {lo} to {hi} "
+                              "are not finite and strictly increasing in SI units")
+        return grid
 
     def experiment(self) -> ExperimentConfig:
         # the statistics keys are ExperimentConfig's fields, but for the two
@@ -215,7 +257,8 @@ class RunConfig:
         s = dict(self.raw["statistics"])
         del s["postselect"]
         delayed_at, delay = s.pop("delayed_at_us") * 1e-6, s.pop("delay_us") * 1e-6
-        return ExperimentConfig(delayed_at=delayed_at, delay=delay, **s)
+        with _checked("statistics"):
+            return ExperimentConfig(delayed_at=delayed_at, delay=delay, **s)
 
     def fit_initial(self) -> FitParameters:
         f = self.raw["fit"]
@@ -225,3 +268,73 @@ class RunConfig:
             gamma_rg=angular_from_mhz(f["initial_gamma_rg_mhz"]),
             delta_c=angular_from_mhz(f["initial_delta_c_mhz"]),
         )
+
+    def spectrum_data(self, path: str) -> SpectrumData:
+        """The measured spectrum in the CSV file ``path`` that ``fit`` reads.
+        A file that cannot be read or is not UTF-8, a missing column, a row
+        that is short or holds a cell that is not a finite number, and rows
+        that ``SpectrumData`` rejects are config errors naming the file (and
+        the row's line); so are missing phase columns under
+        ``fit.include_phase``."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise ConfigError(path, f"cannot read the fit input: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(path, f"cannot read the fit input: byte {exc.start} "
+                                    "is not UTF-8") from None
+        header = lines[0].strip().split(",") if lines else []
+        required = ["delta_s_mhz", "transmission", "sigma"]
+        for col in required:
+            if col not in header:
+                raise ConfigError(path, f"missing CSV column {col!r}")
+        optional = ["phase_rad", "phase_sigma"]
+        has_phase = all(c in header for c in optional)
+        if self.raw["fit"]["include_phase"] and not has_phase:
+            raise ConfigError("fit.include_phase", f"{path} has no "
+                              "phase_rad and phase_sigma columns")
+        columns = required + (optional if has_phase else [])
+        idx = {c: header.index(c) for c in columns}
+        rows = []
+        for number, line in enumerate(lines[1:], start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            where = f"{path}:{number}"
+            try:
+                row = [float(parts[idx[c]]) for c in columns]
+            except IndexError:
+                raise ConfigError(where, f"{len(parts)} cells, too few for the "
+                                         f"header's columns") from None
+            except ValueError as exc:
+                raise ConfigError(where, str(exc)) from None
+            for c, v in zip(columns, row):
+                if not math.isfinite(v):
+                    raise ConfigError(where, f"column {c!r} is not finite: {v}")
+            rows.append(row)
+        data = np.asarray(rows, dtype=float)
+        if data.size == 0:
+            raise ConfigError(path, "no data rows")
+        with _checked(path):
+            return SpectrumData(
+                delta_s=angular_from_mhz(1.0) * data[:, 0],
+                transmission=data[:, 1],
+                sigma=data[:, 2],
+                phase=data[:, 3] if has_phase else None,
+                phase_sigma=data[:, 4] if has_phase else None,
+            )
+
+
+@contextlib.contextmanager
+def _checked(where: str):
+    """Turn what a model dataclass rejects, or a unit conversion that
+    divides by zero, into a ConfigError naming ``where``.  ``_TABLE`` checks
+    each key on its own; this catches what follows from several keys or
+    from a conversion (a non-finite chi0, omega_c**2 or k_s, a delayed
+    efficiency above the zero-delay one)."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(where, str(exc)) from None

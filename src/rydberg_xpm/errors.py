@@ -1,17 +1,27 @@
 """Exception and warning types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, numerical failures
-(NoEITFeatureError, QuadratureError, FitNonConvergenceError,
-DegenerateJacobianError) -> 3, InsufficientStatisticsError -> 4.
+Each error class carries the CLI's exit code and stderr label for it:
+``rydberg-xpm`` prints ``<label>: <message>`` and exits with ``exit_code``.
+ConfigError is 2, InsufficientStatisticsError 4, and every other
+RydbergXPMError (NoEITFeatureError, QuadratureError, FitNonConvergenceError,
+DegenerateJacobianError) a numerical failure, 3.
 """
+
+from .constants import mhz_from_angular
 
 
 class RydbergXPMError(Exception):
     """Base class for structured errors raised by this package."""
 
+    exit_code = 3
+    label = "numerical failure"
+
 
 class ConfigError(RydbergXPMError):
     """Invalid run configuration; ``path`` names the offending key."""
+
+    exit_code = 2
+    label = "config error"
 
     def __init__(self, path: str, message: str):
         self.path = path
@@ -35,21 +45,33 @@ class QuadratureError(RydbergXPMError):
 
 
 class InsufficientStatisticsError(RydbergXPMError):
-    """A measurement basis has no counts after postselection."""
+    """Too few detected photons for a Stokes estimate; ``basis`` names a
+    measurement basis with no counts after postselection, if that is why."""
 
-    def __init__(self, basis: str):
+    exit_code = 4
+    label = "insufficient statistics"
+
+    def __init__(self, message: str, basis: str | None = None):
         self.basis = basis
-        super().__init__(f"no counts in basis {basis} after postselection")
+        super().__init__(message)
 
 
 class FitNonConvergenceError(RydbergXPMError):
     """Least-squares fit hit the iteration cap; carries the best point."""
 
+    label = "fit failed to converge"
+
     def __init__(self, best_result):
         self.best_result = best_result
+        p = best_result.params
         super().__init__(
             f"fit did not converge within {best_result.iterations} iterations "
-            f"(gradient norm {best_result.gradient_norm:.3e})"
+            f"(gradient norm {best_result.gradient_norm:.3e})\n"
+            f"best point: od_res={p.od_res:.6g} "
+            f"omega_c={mhz_from_angular(p.omega_c):.6g} MHz "
+            f"gamma_rg={mhz_from_angular(p.gamma_rg):.6g} MHz "
+            f"delta_c={mhz_from_angular(p.delta_c):.6g} MHz "
+            f"(reduced chisq {best_result.reduced_chisq:.6g})"
         )
 
 

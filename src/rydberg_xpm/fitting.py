@@ -23,7 +23,7 @@ import numpy as np
 
 from . import defaults
 from .constants import EPSILON_0, HBAR, RB87_D2_CYCLING_DIPOLE
-from .errors import DegenerateJacobianError, FitNonConvergenceError
+from .errors import DegenerateJacobianError, FitNonConvergenceError, RydbergXPMError
 from .susceptibility import EITParams, MediumGeometry, SpectrumTable, spectrum
 
 # rad/s, intermediate-state decay rate
@@ -159,16 +159,26 @@ def fit_spectrum(
     """Weighted least-squares fit of the spectrum model.
 
     Raises FitNonConvergenceError (carrying the best point so far) at the
-    iteration cap and DegenerateJacobianError when the normal equations are
-    singular.
+    iteration cap, DegenerateJacobianError when the normal equations are
+    singular, and RydbergXPMError when the model cannot be evaluated at
+    ``initial``.  A trial step where it cannot be evaluated has an infinite
+    cost and is rejected: the damping rises.
     """
     if include_phase and data.phase is None:
         raise ValueError("include_phase requires phase rows in the data")
     t_data = np.asarray(data.transmission, dtype=float)
     t_sigma = np.asarray(data.sigma, dtype=float)
+    n_res = t_data.size * (2 if include_phase else 1)
 
     def residuals(u: np.ndarray) -> np.ndarray:
-        table = predict(_decode(u, gamma_e), data.delta_s, gamma_e=gamma_e, geom=geom)
+        try:
+            table = predict(_decode(u, gamma_e), data.delta_s, gamma_e=gamma_e,
+                            geom=geom)
+        except (OverflowError, ValueError):
+            # a parameter overflows or breaks an EITParams invariant: an
+            # infinite cost, which a step is rejected for like any non-finite
+            # one
+            return np.full(n_res, math.inf)
         r = (table.transmission - t_data) / t_sigma
         if include_phase:
             r_ph = (table.phase - np.asarray(data.phase)) / np.asarray(data.phase_sigma)
@@ -178,6 +188,9 @@ def fit_spectrum(
     u = _encode(initial, gamma_e)
     r = residuals(u)
     cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise RydbergXPMError("the spectrum model cannot be evaluated at the "
+                              "fit's starting point")
     lam = _LAMBDA_INIT
     grad_norm = math.inf
     converged = False

@@ -457,7 +457,8 @@ def _summarize_counts(
         counts[name] = (a, c)
         tot = a + c
         if tot == 0:
-            raise InsufficientStatisticsError(name)
+            raise InsufficientStatisticsError(
+                f"no counts in basis {name} after postselection", basis=name)
         components.append((a - c) / tot)
         errors.append(2.0 * math.sqrt(a * c) / tot**1.5)
     return CountSummary(

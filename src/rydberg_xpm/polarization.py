@@ -29,6 +29,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .errors import InsufficientStatisticsError
+
 
 @dataclass(frozen=True)
 class PolarizationState:
@@ -88,11 +90,17 @@ def apply_medium(
     exp(-OD/2) and phase-shifted by phi_minus; sigma+ picks up the residual
     phase phi_minus / sigma_plus_suppression (none at the default infinite
     suppression; 15 models the measured reference-arm suppression).
+    Raises InsufficientStatisticsError when no power is left, as when the
+    medium absorbs all of a target without a sigma+ component.
     """
     if od_minus < 0:
         raise ValueError(f"od_minus must be >= 0, got {od_minus}")
     c_minus = state.c_minus * math.exp(-od_minus / 2.0) * cmath.exp(1j * phi_minus)
     c_plus = state.c_plus * cmath.exp(1j * phi_minus / sigma_plus_suppression)
+    if abs(c_plus) ** 2 + abs(c_minus) ** 2 == 0.0:
+        raise InsufficientStatisticsError(
+            f"no photon reaches a detector: the medium (OD {od_minus:.6g}) "
+            "absorbs the whole target")
     return PolarizationState(c_plus, c_minus)
 
 

@@ -96,6 +96,8 @@ class MediumGeometry:
                 raise ValueError(f"{name} must be finite, got {value}")
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if not math.isfinite(self.k_s * self.length):
+            raise ValueError("k_s * length must be finite")
 
 
 @dataclass(frozen=True)

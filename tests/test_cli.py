@@ -353,18 +353,36 @@ class TestFitCommand:
         assert "sigma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, expected", [
-        ("missing", "No such file or directory"),
-        ("directory", "Is a directory"),
+        ("missing", "cannot read the fit input: No such file or directory"),
+        ("directory", "cannot read the fit input: Is a directory"),
+        # the 0xff after the first row's sigma
+        ("not UTF-8", "cannot read the fit input: byte 41 is not UTF-8"),
+        ("7 rows", "need at least 8 spectrum points"),
+        ("decreasing", "delta_s must be strictly increasing"),
+        ("sigma 0", "sigma must be positive"),
     ])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, kind, expected):
+        """Input the fit cannot use is a config error naming the file."""
         path = tmp_path / "measured.csv"
+        rows = [(d, 0.5, 0.01) for d in range(10)]
         if kind == "directory":
             path.mkdir()
+        elif kind == "not UTF-8":
+            path.write_bytes(b"delta_s_mhz,transmission,sigma\n0,0.5,0.01\xff\n")
+        elif kind != "missing":
+            if kind == "7 rows":
+                rows = rows[:7]
+            elif kind == "decreasing":
+                rows = rows[::-1]
+            else:
+                rows[4] = (4, 0.5, 0.0)
+            path.write_text("delta_s_mhz,transmission,sigma\n"
+                            + "".join(f"{d},{t},{s}\n" for d, t, s in rows))
         out = tmp_path / "out"
         code = main(["fit", "--input", str(path), "--output-dir", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{path}: cannot read the fit input: {expected}" in err
+        assert f"config error: {path}: {expected}" in err
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("row, message", [

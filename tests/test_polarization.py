@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_diff
+from rydberg_xpm.errors import InsufficientStatisticsError
 from rydberg_xpm.polarization import (
     PolarizationState,
     StokesVector,
@@ -58,6 +59,13 @@ class TestApplyMedium:
     def test_negative_od_rejected(self):
         with pytest.raises(ValueError):
             apply_medium(PolarizationState(1.0, 1.0), -0.1, 0.0)
+
+    def test_fully_absorbed_target_has_no_counts(self):
+        # a balanced input at OD 1e298 has no sigma+ left, and exp(-OD/2)
+        # takes the sigma- amplitude to 0
+        with pytest.raises(InsufficientStatisticsError,
+                           match="no photon reaches a detector"):
+            apply_medium(balanced_input_state(1e298), 1e298, 0.5)
 
     def test_golden_operating_point(self):
         # direct complex arithmetic, checked by hand once and frozen

@@ -278,6 +278,12 @@ def test_non_finite_geometry_rejected(geom, name, value):
         replace(geom, **{name: value})
 
 
+def test_infinite_optical_path_rejected(geom):
+    # length and k_s finite, k_s L overflows
+    with pytest.raises(ValueError, match="k_s \\* length must be finite"):
+        replace(geom, length=1e303)
+
+
 @pytest.mark.parametrize("field,value,name", [
     # eps0 hbar gamma_e underflows to 0: chi0 divides by zero
     ("gamma_e", 1e-291, "chi0"),
