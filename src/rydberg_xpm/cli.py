@@ -5,7 +5,9 @@ retrieval.  All physical and statistical parameters come from one JSON
 config (--config); flags exist only for file paths, the seed override and
 subcommand selection.  Outputs are CSV (header row, 17 significant digits)
 and JSON (with a config_echo block and the tool version), written
-atomically.  Identical config and seed produce byte-identical outputs.
+atomically once every one of them is serialized; an output holding NaN or
+Infinity is a numerical failure and no file is written.  Identical config
+and seed produce byte-identical outputs.
 
 Exit codes: 0 success, else the ``exit_code`` of the RydbergXPMError that
 ended the run (2 config error, 3 numerical failure, 4 insufficient
@@ -83,7 +85,24 @@ def _json(payload: dict, cfg: RunConfig) -> str:
     payload = dict(payload)
     payload["config_echo"] = cfg.raw
     payload["version"] = __version__
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _serialize(name: str, out, cfg: RunConfig) -> str:
+    """The text of output file ``name``: a CSV table (header, columns) or a
+    JSON payload.  A NaN or infinite value is a numerical failure naming
+    the file (and, for a table, the column)."""
+    if isinstance(out, tuple):
+        header, columns = out
+        for column, values in zip(header, columns):
+            if not np.isfinite(values).all():
+                raise RydbergXPMError(f"{name}: column {column} holds a value "
+                                      "that is not finite")
+        return _csv(header, columns)
+    try:
+        return _json(out, cfg)
+    except ValueError:  # allow_nan=False met NaN or Infinity
+        raise RydbergXPMError(f"{name}: a value is NaN or infinite") from None
 
 
 def _width(cfg: RunConfig) -> float | None:
@@ -117,7 +136,7 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     grid = cfg.spectrum_grid()
     eit = spectrum(params, geom, grid)
     ref = spectrum(two_level(params), geom, grid)
-    table = _csv(
+    table = (
         ["delta_s_mhz", "transmission_eit", "phase_eit_rad",
          "transmission_two_level", "phase_two_level_rad"],
         [grid / (2e6 * math.pi), np.atleast_1d(eit.transmission),
@@ -169,7 +188,7 @@ def cmd_density_scan(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
         cfg.eit_params(), cfg.geometry(), cfg.blockade(), cfg.delta_s,
         cfg.density_grid(),
     )
-    table = _csv(
+    table = (
         ["rho_cm3", "phase0_rad", "phase1_rad", "controlled_phase_rad"],
         [scan.rho / 1e6, scan.phase0, scan.phase1, scan.controlled_phase],
     )
@@ -257,7 +276,7 @@ def cmd_retrieval(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     g = cfg.raw["retrieval_grid"]
     delays = np.linspace(0.0, g["max_us"] * 1e-6, g["points"])
     eta = np.array([retrieval_efficiency(exp_cfg, t) for t in delays])
-    table = _csv(["delay_us", "efficiency"], [delays * 1e6, eta])
+    table = (["delay_us", "efficiency"], [delays * 1e6, eta])
     tau = retrieval_time_constant(exp_cfg)
     payload = {
         "efficiency_zero_delay": exp_cfg.storage_retrieval_efficiency_zero_delay,
@@ -269,8 +288,8 @@ def cmd_retrieval(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
 
 
 # subcommand -> handler(config, parsed arguments) -> {output file name: CSV
-# text or JSON payload}; ``main`` adds the config echo and version to each
-# payload and writes the files
+# table (header, columns) or JSON payload}; ``main`` serializes every output,
+# adding the config echo and version to each payload, then writes the files
 COMMANDS = {
     "spectrum": cmd_spectrum,
     "blockade-phase": cmd_blockade_phase,
@@ -321,8 +340,8 @@ def main(argv=None) -> int:
                 for text in dict.fromkeys(f"{w.category.__name__}: {w.message}"
                                           for w in caught):
                     print(f"warning: {text}", file=sys.stderr)
-        for name, out in outputs.items():
-            text = out if isinstance(out, str) else _json(out, cfg)
+        texts = {name: _serialize(name, out, cfg) for name, out in outputs.items()}
+        for name, text in texts.items():
             _write_atomic(os.path.join(args.output_dir, name), text)
         return 0
     except RydbergXPMError as exc:

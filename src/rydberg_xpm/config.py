@@ -33,7 +33,7 @@ from .constants import (
 )
 from .errors import ConfigError
 from .fitting import FitParameters, SpectrumData
-from .photostatistics import MAX_MEAN_PHOTONS_TARGET, ExperimentConfig
+from .photostatistics import MAX_MEAN_PHOTONS_TARGET, MAX_REPETITIONS, ExperimentConfig
 from .susceptibility import EITParams, MediumGeometry
 
 _POS = ("positive", lambda v: v > 0)
@@ -92,7 +92,9 @@ _TABLE: dict[str, dict[str, tuple[Any, tuple]]] = {
             defaults.STORAGE_RETRIEVAL_EFFICIENCY_DELAYED, _UNIT),
         "delayed_at_us": (defaults.DELAYED_AT_US, _POS),
         "delay_us": (defaults.DELAY_US, _NONNEG),
-        "repetitions": (defaults.REPETITIONS, _POS),
+        "repetitions": (defaults.REPETITIONS,
+                        (f"in [1, {MAX_REPETITIONS}]",
+                         lambda v: 1 <= v <= MAX_REPETITIONS)),
         "rng_seed": (defaults.RNG_SEED, _SEED),
         "postselect": (defaults.POSTSELECT, _ANY),
         "basis_mode": (defaults.BASIS_MODE, ("'round_robin' or 'random'",

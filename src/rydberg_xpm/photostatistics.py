@@ -27,15 +27,18 @@ shots at a mean below one photon; so a port's counts are zeroed and one
 
 ``simulate_batch`` allocates its five output arrays once and fills them
 _BLOCK_SHOTS shots at a time, so its temporaries are those of a block, not
-of the batch: memory is O(output + 2 blocks).  The blocks are split into
-contiguous shot ranges on max(1, min(2, usable cores, n // _BLOCK_SHOTS))
-threads, the calling thread filling the first range; each range draws from
-its own Philox advanced to its first shot, and numpy releases the GIL in
-``random_raw``, ``searchsorted`` and the large ufuncs.  A batch of fewer
-than two whole blocks stays on the calling thread: a second thread would add
-its stack and a second block's temporaries for less than a block of work.
-The thresholds and tables are built once per call and only read by the
-threads.
+of the batch: memory is O(output + 2 blocks).  A shot takes 7 bytes of
+output: an int8 basis (BASIS_DTYPE), two bools and two int16 counts
+(COUNT_DTYPE), which hold every count, since a count is below the size of
+the largest Poisson table (1405 entries at MAX_MEAN_PHOTONS_TARGET).  The
+blocks are split into contiguous shot ranges on max(1, min(2, usable cores,
+n // _BLOCK_SHOTS)) threads, the calling thread filling the first range;
+each range draws from its own Philox advanced to its first shot, and numpy
+releases the GIL in ``random_raw``, ``searchsorted`` and the large ufuncs.
+A batch of fewer than two whole blocks stays on the calling thread: a second
+thread would add its stack and a second block's temporaries for less than a
+block of work.  The thresholds and tables are built once per call and only
+read by the threads.
 
 ``tally_stokes`` runs ``simulate_batch`` over CHUNK_SHOTS-shot chunks and
 keeps only the per-basis count sums, so its memory does not grow with the
@@ -68,12 +71,17 @@ CHUNK_SHOTS = 2**18  # shots per simulate_batch call of tally_stokes
 # whole blocks
 _BLOCK_SHOTS = 2**15
 _MAX_WORKERS = 2
-# the round-robin bases of a block: the slice starting at its first shot mod 3
-_ROUND_ROBIN = np.arange(_BLOCK_SHOTS + 2) % 3
 # The Poisson table and its temporaries grow linearly with the mean count
 # (321 MB at a mean of 10^7), so the mean is bounded far below where it
 # would fill memory.
 MAX_MEAN_PHOTONS_TARGET = 1000.0
+# ShotBatch dtypes: a basis is 0, 1 or 2, and a count is below the size of
+# the largest Poisson table, 1405 entries at MAX_MEAN_PHOTONS_TARGET.  Both
+# are signed, so that a difference of two counts cannot wrap.
+BASIS_DTYPE = np.int8
+COUNT_DTYPE = np.int16
+# the round-robin bases of a block: the slice starting at its first shot mod 3
+_ROUND_ROBIN = (np.arange(_BLOCK_SHOTS + 2) % 3).astype(BASIS_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -120,8 +128,8 @@ class ExperimentConfig:
             raise ValueError("delayed efficiency cannot exceed the zero-delay one")
         if self.delay < 0 or self.delayed_at <= 0:
             raise ValueError("delays must be non-negative (delayed_at positive)")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not 1 <= self.repetitions <= MAX_REPETITIONS:
+            raise ValueError(f"repetitions must be in [1, {MAX_REPETITIONS}]")
         if self.basis_mode not in ("round_robin", "random"):
             raise ValueError(f"unknown basis_mode {self.basis_mode!r}")
         if not 0.0 <= self.coherence_factor <= 1.0:
@@ -196,11 +204,16 @@ def _poisson_thresholds(lam: float) -> np.ndarray:
     return np.minimum(np.floor(cdf * _MANTISSA), _MANTISSA).astype(np.uint64)
 
 
+# A count is below the size of the largest Poisson table, so the count sums
+# of this many shots stay below 2^53, where float sums are exact.
+MAX_REPETITIONS = (_MANTISSA - 1) // _poisson_thresholds(MAX_MEAN_PHOTONS_TARGET).size
+
+
 def _random_basis(m: np.ndarray) -> np.ndarray:
     """floor(3u), capped at 2, in float arithmetic: m (3 / 2^53) rounds
     exactly as u * 3.0 does, which is not always floor(3m / 2^53) (the
     product rounds m = (2^54 - 1) / 3 up to basis 2)."""
-    return np.minimum((m * (3.0 / _MANTISSA)).astype(np.int64), 2)
+    return np.minimum((m * (3.0 / _MANTISSA)).astype(BASIS_DTYPE), 2)
 
 
 def _grouped_table(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,11 +296,11 @@ def _port_lambdas(
 class ShotBatch:
     """Vectorized shot outcomes, one array element per shot."""
 
-    basis_index: np.ndarray  # int in {0, 1, 2}
+    basis_index: np.ndarray  # BASIS_DTYPE (int8), in {0, 1, 2}
     control_stored: np.ndarray  # bool
     control_retrieved: np.ndarray  # bool
-    counts_k: np.ndarray  # int64
-    counts_l: np.ndarray  # int64
+    counts_k: np.ndarray  # COUNT_DTYPE (int16), port k's detected photons
+    counts_l: np.ndarray  # COUNT_DTYPE (int16), port l's detected photons
 
     def __len__(self) -> int:
         return self.basis_index.size
@@ -321,11 +334,11 @@ def simulate_batch(
         table_l=_grouped_table([ll for _, ll in lams]),
     )
     batch = ShotBatch(
-        basis_index=np.empty(n, dtype=np.int64),
+        basis_index=np.empty(n, dtype=BASIS_DTYPE),
         control_stored=np.empty(n, dtype=bool),
         control_retrieved=np.empty(n, dtype=bool),
-        counts_k=np.empty(n, dtype=np.int64),
-        counts_l=np.empty(n, dtype=np.int64),
+        counts_k=np.empty(n, dtype=COUNT_DTYPE),
+        counts_l=np.empty(n, dtype=COUNT_DTYPE),
     )
     workers = max(1, min(_MAX_WORKERS, _usable_cores(), n // _BLOCK_SHOTS))
     blocks = -(-n // _BLOCK_SHOTS)
@@ -404,7 +417,8 @@ def _fill_range(kernel: _Kernel, batch: ShotBatch, lo: int, hi: int) -> None:
             basis[:] = _ROUND_ROBIN[phase:phase + b - a]
         else:
             basis[:] = _random_basis(m[:, 2])
-        group = basis + 3 * stored
+        # a bool is one byte of 0 or 1, so the group stays int8 as well
+        group = basis + 3 * stored.view(BASIS_DTYPE)
         _draw_counts(kernel.table_k, group, m[:, 3], batch.counts_k[a:b])
         _draw_counts(kernel.table_l, group, m[:, 4], batch.counts_l[a:b])
 
@@ -430,9 +444,8 @@ def _basis_sums(batch: ShotBatch, postselect: bool) -> tuple[np.ndarray, int]:
         counted &= batch.control_retrieved
     hit = np.flatnonzero(counted)
     bins = batch.basis_index[hit]
-    # The float sums are exact below 2^53: a port counts fewer than 1.5e3
-    # photons per shot (MAX_MEAN_PHOTONS_TARGET caps the Poisson table), so
-    # a batch would need over 6e12 shots to reach it.
+    # The float sums are exact: a batch of at most MAX_REPETITIONS shots
+    # sums to below 2^53.
     sums = np.column_stack([
         np.bincount(bins, weights=counts[hit], minlength=3)
         for counts in (batch.counts_k, batch.counts_l)

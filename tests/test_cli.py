@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydberg_xpm import photostatistics
+from rydberg_xpm import cli, photostatistics
 from rydberg_xpm.cli import main
 
 
@@ -110,6 +110,34 @@ class TestOutputDirectory:
         assert f"--output-dir: cannot create {target}" in capsys.readouterr().err
         assert blocker.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+class TestNonFiniteOutputs:
+    GOOD_TABLE = (["x"], [np.array([1.0, 2.0])])
+
+    @pytest.mark.parametrize("outputs, message", [
+        # the finite output comes first, so that writing it before the
+        # check would show
+        ({"a.csv": GOOD_TABLE, "b.json": {"x": math.nan}},
+         "numerical failure: b.json: a value is NaN or infinite"),
+        ({"a.json": {"x": 1.0}, "b.json": {"y": [0.0, -math.inf]}},
+         "numerical failure: b.json: a value is NaN or infinite"),
+        ({"a.json": {"x": 1.0},
+          "b.csv": (["x", "y"], [np.ones(2), np.array([0.0, math.inf])])},
+         "numerical failure: b.csv: column y holds a value that is not finite"),
+    ])
+    def test_exit_3_and_no_file(self, tmp_path, capsys, monkeypatch, outputs,
+                                message):
+        monkeypatch.setitem(cli.COMMANDS, "retrieval", lambda cfg, args: outputs)
+        assert main(["retrieval", "--output-dir", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_table_of_a_subcommand(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "retrieval_efficiency", lambda cfg, t: math.nan)
+        assert main(["retrieval", "--output-dir", str(tmp_path)]) == 3
+        assert "retrieval.csv: column efficiency" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWarnings:

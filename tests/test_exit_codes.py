@@ -6,7 +6,7 @@ strategy derived from ``config._TABLE`` sets one to three keys
 of a small run to an edge value and runs a subcommand through ``cli.main``
 in this process: the exit code must be 0, 2, 3 or 4, an exception that
 escapes ``main`` (a traceback in a fresh process) fails the test, and so
-does a JSON output holding NaN or Infinity.
+does an output holding NaN or Infinity, in a JSON value or a CSV cell.
 Reference: MacIver et al., "Hypothesis: A new approach to property-based
 testing", JOSS 4(43) 1891 (2019).
 """
@@ -14,6 +14,7 @@ testing", JOSS 4(43) 1891 (2019).
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -26,6 +27,8 @@ from rydberg_xpm.cli import COMMANDS, main
 from rydberg_xpm.config import _TABLE
 from rydberg_xpm.constants import angular_from_mhz, mhz_from_angular
 from rydberg_xpm.fitting import FitParameters, predict
+from rydberg_xpm import photostatistics
+from rydberg_xpm.photostatistics import MAX_REPETITIONS
 
 # small grids and repetition counts; a drawn key scales these, not the
 # full-size defaults
@@ -36,8 +39,6 @@ SMALL = {
     "fit": {"max_iterations": 50},
     "retrieval_grid": {"points": 5},
 }
-# 2^64 repetitions would simulate for ever; the count has no upper bound
-NO_HUGE_INT = {("statistics", "repetitions")}
 
 
 def flat_csv(rows: int = 10) -> str:
@@ -104,6 +105,18 @@ def test_edge_config_exit_code(tmp_path, capsys, command, overrides, flat_rows,
     assert message in capsys.readouterr().err
 
 
+def test_repetitions_beyond_the_bound_exit_2(tmp_path, capsys, monkeypatch):
+    # one shot more than keeps the count sums below 2^53; without the bound
+    # the run would take days, so the first simulated shot fails the test
+    def no_shots(*args, **kwargs):
+        pytest.fail("shots were simulated")
+
+    monkeypatch.setattr(photostatistics, "simulate_batch", no_shots)
+    overrides = {"statistics": {"repetitions": MAX_REPETITIONS + 1}}
+    assert run(tmp_path, "tomography", overrides, "") == 2
+    assert "config error: statistics.repetitions: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("overrides, seed", [
     ({"statistics": 3}, "1"),
     ({}, "-1"),
@@ -122,10 +135,7 @@ def edge_values(section: str, key: str, default):
     scaled = st.builds(lambda k, sign: base * 10.0**(sign * k),
                        st.integers(1, 3), st.sampled_from([1, -1]))
     if isinstance(default, int):
-        options = [st.just(0), scaled.map(int)]
-        if (section, key) not in NO_HUGE_INT:
-            options.append(st.just(2**64))
-        return st.one_of(options)
+        return st.one_of(st.just(0), scaled.map(int), st.just(2**64))
     return st.one_of(st.just(0.0), scaled,
                      st.sampled_from([1e300, -1e300, 1e-300, -1e-300]))
 
@@ -155,6 +165,11 @@ def test_every_config_exits_with_a_documented_code(command, overrides, spectrum)
         assert code in (0, 2, 3, 4)
         for path in (Path(tmp) / "out").glob("*.json"):
             json.loads(path.read_text(), parse_constant=refuse)
+        for path in (Path(tmp) / "out").glob("*.csv"):
+            for line in path.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    if not math.isfinite(float(cell)):
+                        refuse(cell)
 
 
 def refuse(token):

@@ -10,6 +10,8 @@ from rydberg_xpm import photostatistics
 from rydberg_xpm.errors import InsufficientStatisticsError
 from rydberg_xpm.photostatistics import (
     CHUNK_SHOTS,
+    MAX_MEAN_PHOTONS_TARGET,
+    MAX_REPETITIONS,
     ExperimentConfig,
     ShotBatch,
     estimate_stokes,
@@ -32,19 +34,23 @@ def balanced_state():
     return balanced_input_state(TRUTH[2])
 
 
+# the documented ShotBatch dtypes: int8 bases, int16 counts
+KERNEL_DTYPES = {"basis_index": np.int8, "control_stored": np.bool_,
+                 "control_retrieved": np.bool_, "counts_k": np.int16,
+                 "counts_l": np.int16}
+FIELDS = tuple(KERNEL_DTYPES)
+
+
 def retrieved_batch(basis, counts_k, counts_l):
     """Shots that all stored and retrieved the control excitation."""
     retrieved = np.ones(len(basis), dtype=bool)
     return ShotBatch(
-        basis_index=np.array(basis, dtype=np.int64),
+        basis_index=np.array(basis, dtype=np.int8),
         control_stored=retrieved,
         control_retrieved=retrieved,
-        counts_k=np.array(counts_k, dtype=np.int64),
-        counts_l=np.array(counts_l, dtype=np.int64),
+        counts_k=np.array(counts_k, dtype=np.int16),
+        counts_l=np.array(counts_l, dtype=np.int16),
     )
-
-
-FIELDS = ("basis_index", "control_stored", "control_retrieved", "counts_k", "counts_l")
 
 
 def oracle_poisson(u, lam):
@@ -86,10 +92,14 @@ def oracle_batch(config, truth, input_state, start_index, n):
     return ShotBatch(basis.astype(np.int64), stored, retrieved, counts_k, counts_l)
 
 
-def assert_same_batch(a, b):
+def assert_same_batch(batch, reference):
+    """``batch``, from the kernel, has the documented dtypes and the values
+    of ``reference`` (the int64 oracle, or another kernel batch).  The values
+    are compared as they are, never cast down, so a count that wrapped in
+    the kernel's narrow dtype would differ."""
     for field in FIELDS:
-        x, y = getattr(a, field), getattr(b, field)
-        assert x.dtype == y.dtype, field
+        x, y = getattr(batch, field), getattr(reference, field)
+        assert x.dtype == KERNEL_DTYPES[field], field
         assert np.array_equal(x, y), field
 
 
@@ -179,6 +189,15 @@ class TestConfigValidation:
         ExperimentConfig(mean_photons_target=photostatistics.MAX_MEAN_PHOTONS_TARGET)
         with pytest.raises(ValueError, match="mean_photons_target"):
             ExperimentConfig(mean_photons_target=value)
+
+    def test_repetitions_bounded(self):
+        # count sums of the most shots at the largest mean stay below 2^53
+        size = photostatistics._poisson_thresholds(MAX_MEAN_PHOTONS_TARGET).size
+        assert MAX_REPETITIONS * size < 2**53 <= (MAX_REPETITIONS + 1) * size
+        ExperimentConfig(repetitions=MAX_REPETITIONS)
+        for value in (0, MAX_REPETITIONS + 1, 2**64):
+            with pytest.raises(ValueError, match="repetitions"):
+                ExperimentConfig(repetitions=value)
 
     def test_default_split_is_symmetric(self):
         cfg = ExperimentConfig()
@@ -292,6 +311,23 @@ class TestKernelOracle:
             simulate_batch(cfg, TRUTH, balanced_state(), 150, 5000),
             oracle_batch(cfg, TRUTH, balanced_state(), 150, 5000),
         )
+
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    def test_matches_oracle_at_the_largest_counts(self, basis_mode):
+        # all the light in port L: mean 1000 in the LR basis, whose counts
+        # pass int8's range; two blocks, so that both threads may fill them
+        cfg = ExperimentConfig(mean_photons_target=MAX_MEAN_PHOTONS_TARGET,
+                               detection_efficiency=1.0, basis_mode=basis_mode,
+                               rng_seed=2718)
+        state = PolarizationState(1.0, 0.0)
+        batch = simulate_batch(cfg, TRUTH, state, 150, 2 * B + 1)
+        assert batch.counts_k.max() > 1000
+        assert_same_batch(batch, oracle_batch(cfg, TRUTH, state, 150, 2 * B + 1))
+
+    def test_count_dtype_holds_the_largest_table(self):
+        # a count is at most the size of its group's Poisson table
+        size = photostatistics._poisson_thresholds(MAX_MEAN_PHOTONS_TARGET).size
+        assert size < np.iinfo(photostatistics.COUNT_DTYPE).max
 
     @pytest.mark.parametrize("lam", [1e-300, 0.9, 40.0, 1000.0, 3000.0])
     def test_poisson_thresholds_at_their_edges(self, lam):
@@ -431,7 +467,7 @@ class TestBlocks:
             simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), n=2 * B)
 
     def test_memory_is_output_plus_blocks(self):
-        # the five output arrays take 26 MB at 2^20 shots; the blocks
+        # the five output arrays take 7.3 MB at 2^20 shots; the blocks
         # being filled add a few MB per worker
         cfg = ExperimentConfig(repetitions=2**20, rng_seed=3)
         tracemalloc.start()
@@ -440,7 +476,7 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48e6
+        assert peak < 24e6
 
 
 class TestTally:
@@ -517,11 +553,11 @@ class TestEstimator:
         # no shot detects a photon: nothing is binned, every sum is an exact
         # integer 0 and the kept shots are still counted
         batch = ShotBatch(
-            basis_index=np.array([0, 1, 2, 0, 1], dtype=np.int64),
+            basis_index=np.array([0, 1, 2, 0, 1], dtype=np.int8),
             control_stored=np.array([1, 1, 0, 1, 0], dtype=bool),
             control_retrieved=np.array([1, 0, 0, 1, 0], dtype=bool),
-            counts_k=np.zeros(5, dtype=np.int64),
-            counts_l=np.zeros(5, dtype=np.int64),
+            counts_k=np.zeros(5, dtype=np.int16),
+            counts_l=np.zeros(5, dtype=np.int16),
         )
         sums, n_kept = photostatistics._basis_sums(batch, postselect)
         assert sums.dtype == np.int64
@@ -531,6 +567,16 @@ class TestEstimator:
         with pytest.raises(InsufficientStatisticsError) as err:
             estimate_stokes(batch, postselect=postselect)
         assert err.value.basis == "HV"
+
+    def test_sums_pass_the_count_dtype(self):
+        # int16 counts at their largest value sum, per basis, far beyond
+        # int16: the sums are exact int64
+        top = np.iinfo(np.int16).max
+        batch = retrieved_batch([0, 1, 2] * 1000, [top] * 3000, [1] * 3000)
+        sums, n_kept = photostatistics._basis_sums(batch, postselect=True)
+        assert sums.dtype == np.int64
+        assert sums.tolist() == [[1000 * top, 1000]] * 3
+        assert n_kept == 3000
 
     def test_converges_to_uncontrolled_state_without_storage(self):
         cfg = ExperimentConfig(
