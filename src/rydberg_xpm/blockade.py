@@ -177,7 +177,7 @@ class LinearFit:
 
 @dataclass(frozen=True)
 class DensityScan:
-    """Controlled phase versus atomic density, with linear fits."""
+    """Controlled phase versus atomic density, with its linear law."""
 
     rho: np.ndarray  # [1/m^3]
     phase0: np.ndarray
@@ -188,14 +188,12 @@ class DensityScan:
     fit_controlled: LinearFit
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
-    if x.size == 1:
-        # single point: the model is linear through the origin
-        return LinearFit(float(y[0] / x[0]), 0.0, 0.0)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    scale = max(np.max(np.abs(y)), 1e-300)
-    return LinearFit(float(slope), float(intercept), float(np.max(np.abs(resid)) / scale))
+def _linear_law(rho: np.ndarray, phase: np.ndarray, slope: float) -> LinearFit:
+    """The law phase = slope * rho through the origin, and the largest
+    residual of ``phase`` from it relative to the largest |phase|."""
+    resid = phase - slope * rho
+    scale = max(np.max(np.abs(phase)), 1e-300)
+    return LinearFit(float(slope), 0.0, float(np.max(np.abs(resid)) / scale))
 
 
 def density_scan(
@@ -209,7 +207,8 @@ def density_scan(
 
     Both integrals are evaluated once, at the grid's largest density, and
     scaled by rho / rho_max (the phases are linear in rho); the
-    largest-density row is the integral itself.
+    largest-density row is the integral itself, and each linear law's slope
+    is that integral over rho_max.
     """
     rho = np.asarray(rho_grid, dtype=float)
     if rho.size == 0:
@@ -228,7 +227,7 @@ def density_scan(
         phase0=phase0,
         phase1=phase1,
         controlled_phase=ctrl,
-        fit_phase0=_linear_fit(rho, phase0),
-        fit_phase1=_linear_fit(rho, phase1),
-        fit_controlled=_linear_fit(rho, ctrl),
+        fit_phase0=_linear_law(rho, phase0, phi0 / rho_max),
+        fit_phase1=_linear_law(rho, phase1, phi1 / rho_max),
+        fit_controlled=_linear_law(rho, ctrl, (phi1 - phi0) / rho_max),
     )

@@ -245,8 +245,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
         cfg.fit_initial(),
         include_phase=fit_cfg["include_phase"],
         max_iterations=fit_cfg["max_iterations"],
-        gamma_e=cfg.eit_params().gamma_e,
-        geom=cfg.geometry(),
+        gamma_e=cfg.gamma_e,
     )
     p, s = result.params, result.stderr
     payload = {

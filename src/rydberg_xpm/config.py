@@ -193,11 +193,17 @@ class RunConfig:
 
     # -- object builders ----------------------------------------------------
 
+    @property
+    def gamma_e(self) -> float:
+        """The intermediate-state decay rate [rad/s], 1 / excited_lifetime."""
+        with _checked("physics"):
+            return 1.0 / (self.raw["physics"]["excited_lifetime_ns"] * 1e-9)
+
     def eit_params(self) -> EITParams:
         p = self.raw["physics"]
         with _checked("physics"):
             return EITParams(
-                gamma_e=1.0 / (p["excited_lifetime_ns"] * 1e-9),
+                gamma_e=self.gamma_e,
                 gamma_rg=angular_from_mhz(p["gamma_rg_mhz"]),
                 omega_c=angular_from_mhz(p["omega_c_mhz"]),
                 delta_c=angular_from_mhz(p["delta_c_mhz"]),

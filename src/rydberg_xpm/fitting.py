@@ -1,11 +1,14 @@
 """Nonlinear least-squares fitting of transmission (and optionally phase)
 spectra to the ladder-EIT model.
 
-The free parameters are the resonant optical depth lump od_res = k_s L chi0
-(degenerate product of density, length and dipole moment), the coupling Rabi
-frequency, the ground-Rydberg dephasing rate and the coupling detuning
-offset.  Positive-definite parameters are fitted in log space so bounds stay
-implicit; the detuning is fitted in units of gamma_e for conditioning.
+A spectrum measures the susceptibility only in optical-depth units: the model
+is od_res chi / chi0, with od_res = k_s L chi0 the resonant two-level optical
+depth, so transmission exp(-od_res Im(chi / chi0)) and phase
+od_res Re(chi / chi0) / 2.  Density, dipole moment and length cancel.  The
+free parameters are od_res, the coupling Rabi frequency, the ground-Rydberg
+dephasing rate and the coupling detuning offset.  Positive-definite
+parameters are fitted in log space so bounds stay implicit; the detuning is
+fitted in units of gamma_e for conditioning.
 
 Minimization is a damped Gauss-Newton (Levenberg-Marquardt) iteration with a
 central-difference Jacobian (step 1e-6 (1 + |u|) per component), declared
@@ -22,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .constants import EPSILON_0, HBAR, RB87_D2_CYCLING_DIPOLE
 from .errors import DegenerateJacobianError, FitNonConvergenceError, RydbergXPMError
-from .susceptibility import EITParams, MediumGeometry, SpectrumTable, spectrum
+from .susceptibility import EITParams, SpectrumTable, chi, chi0, transmission
 
 # rad/s, intermediate-state decay rate
 GAMMA_E_DEFAULT = 1.0 / (defaults.EXCITED_LIFETIME_NS * 1e-9)
@@ -33,6 +35,11 @@ _GRAD_TOL = 1e-8
 _FD_SCALE = 1e-6
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
+# density [1/m^3] and dipole moment [C m] of the model's reference medium:
+# they cancel in chi / chi0, and keep chi0 finite and nonzero for every
+# finite gamma_e above about 5e-279 rad/s, where eps0 hbar gamma_e underflows
+_RHO_REF = 1e18
+_D_EG_REF = 1e-29
 
 
 @dataclass(frozen=True)
@@ -84,37 +91,17 @@ class FitResult:
     converged: bool
 
 
-def params_to_eit(
-    params: FitParameters,
-    gamma_e: float = GAMMA_E_DEFAULT,
-    geom: MediumGeometry | None = None,
-) -> tuple[EITParams, MediumGeometry]:
-    """Build model inputs whose resonant optical depth equals od_res."""
-    if geom is None:
-        geom = MediumGeometry(length=defaults.LENGTH_UM * 1e-6)
-    chi0_target = params.od_res / (geom.k_s * geom.length)
-    d_eg = RB87_D2_CYCLING_DIPOLE  # od_res absorbs the dipole moment
-    rho = chi0_target * EPSILON_0 * HBAR * gamma_e / (2.0 * d_eg**2)
-    eit = EITParams(
-        gamma_e=gamma_e,
-        gamma_rg=params.gamma_rg,
-        omega_c=params.omega_c,
-        delta_c=params.delta_c,
-        rho=rho,
-        d_eg=d_eg,
-    )
-    return eit, geom
-
-
 def predict(
     params: FitParameters,
     delta_s_grid,
     gamma_e: float = GAMMA_E_DEFAULT,
-    geom: MediumGeometry | None = None,
 ) -> SpectrumTable:
-    """Forward model spectrum; shares the susceptibility code path."""
-    eit, geom = params_to_eit(params, gamma_e=gamma_e, geom=geom)
-    return spectrum(eit, geom, delta_s_grid)
+    """Forward model spectrum: transmission exp(-od_res Im(chi / chi0)) and
+    phase od_res Re(chi / chi0) / 2 of the susceptibility at ``params``."""
+    eit = EITParams(gamma_e=gamma_e, gamma_rg=params.gamma_rg, omega_c=params.omega_c,
+                    delta_c=params.delta_c, rho=_RHO_REF, d_eg=_D_EG_REF)
+    x = params.od_res * (chi(eit, delta_s_grid) / chi0(eit))
+    return SpectrumTable(transmission=transmission(x.imag), phase=x.real / 2.0)
 
 
 def _encode(p: FitParameters, gamma_e: float) -> np.ndarray:
@@ -154,7 +141,6 @@ def fit_spectrum(
     include_phase: bool = False,
     max_iterations: int = defaults.FIT_MAX_ITERATIONS,
     gamma_e: float = GAMMA_E_DEFAULT,
-    geom: MediumGeometry | None = None,
 ) -> FitResult:
     """Weighted least-squares fit of the spectrum model.
 
@@ -172,8 +158,7 @@ def fit_spectrum(
 
     def residuals(u: np.ndarray) -> np.ndarray:
         try:
-            table = predict(_decode(u, gamma_e), data.delta_s, gamma_e=gamma_e,
-                            geom=geom)
+            table = predict(_decode(u, gamma_e), data.delta_s, gamma_e=gamma_e)
         except (OverflowError, ValueError):
             # a parameter overflows or breaks an EITParams invariant: an
             # infinite cost, which a step is rejected for like any non-finite

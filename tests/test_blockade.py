@@ -263,6 +263,20 @@ class TestDensityScan:
         assert scan.fit_phase1.max_rel_residual < 1e-10
         assert scan.fit_controlled.max_rel_residual < 1e-10
 
+    @pytest.mark.parametrize("sign_reversed", [False, True])
+    def test_linear_law_matches_least_squares(self, params, geom, blk, ds_op,
+                                              sign_reversed):
+        # the closed-form law through the origin is the least-squares line
+        blk = replace(blk, sign_reversed=sign_reversed)
+        scan = density_scan(params, geom, blk, ds_op, np.linspace(2e17, 1.8e18, 9))
+        for law, phase in ((scan.fit_phase0, scan.phase0),
+                           (scan.fit_phase1, scan.phase1),
+                           (scan.fit_controlled, scan.controlled_phase)):
+            slope, intercept = np.polyfit(scan.rho, phase, 1)
+            assert law.slope == pytest.approx(slope, rel=1e-12)
+            assert law.intercept == 0.0
+            assert abs(intercept) <= 1e-12 * np.max(np.abs(phase))
+
     def test_controlled_phase_at_operating_density(self, params, geom, blk, ds_op):
         scan = density_scan(params, geom, blk, ds_op, [1.8e18])
         assert 2.5 <= scan.controlled_phase[0] <= 3.3

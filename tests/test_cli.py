@@ -12,6 +12,7 @@ import pytest
 
 from rydberg_xpm import cli, photostatistics
 from rydberg_xpm.cli import main
+from rydberg_xpm.config import RunConfig
 
 
 def write_config(tmp_path, overrides, name="config.json"):
@@ -372,6 +373,38 @@ class TestFitCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "converge" in err and "best point" in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"physics": {"omega_c_mhz": 1e300}},
+        {"geometry": {"length_um": 1e-300}},
+        {
+            "physics": {"gamma_rg_mhz": 0.0, "omega_c_mhz": 0.0,
+                        "delta_c_mhz": -1e300, "delta_s_mhz": 1e300,
+                        "density_cm3": 1e300, "dipole_moment_cm": 1e300,
+                        "signal_wavelength_nm": 1e-300},
+            "geometry": {"length_um": 1e300, "excitation_z_um": 0.0},
+            "blockade": {"c6_atomic_units": 1e300, "sign_reversed": True},
+            "spectrum_grid": {"points": 1},
+            "density_grid": {"min_cm3": 1e-300, "max_cm3": 1e300},
+            "statistics": {"repetitions": 1, "rng_seed": 0,
+                           "coherence_factor": 0.0},
+            "retrieval_grid": {"max_us": 1e300},
+        },
+    ])
+    def test_reads_only_the_keys_it_fits(self, tmp_path, overrides):
+        # fit reads physics.excited_lifetime_ns and fit.*, and no other key:
+        # configs that differ elsewhere give the same fit.json but for the echo
+        csv = self._write_synthetic(tmp_path)
+        outputs = []
+        for name, config in (("default", {}), ("changed", overrides)):
+            cfg = write_config(tmp_path, config, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["fit", "--input", csv, "--config", cfg,
+                         "--output-dir", str(out)]) == 0
+            payload = read_json(out / "fit.json")
+            assert payload.pop("config_echo") == RunConfig(config).raw
+            outputs.append(json.dumps(payload, sort_keys=True))
+        assert outputs[0] == outputs[1]
 
     def test_missing_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

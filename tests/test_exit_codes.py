@@ -64,6 +64,11 @@ def model_csv() -> str:
                       *rows]) + "\n"
 
 
+# the fit inputs of the edge-config table, by name ("-": none)
+SPECTRA = {"flat10": flat_csv(10), "flat20": flat_csv(20), "model": model_csv(),
+           "-": ""}
+
+
 def run(tmp: Path, command: str, overrides, spectrum: str, extra=()) -> int:
     """``main`` on ``command`` with ``overrides`` as the config file and
     ``spectrum`` as the fit input."""
@@ -76,32 +81,34 @@ def run(tmp: Path, command: str, overrides, spectrum: str, extra=()) -> int:
     return main(argv)
 
 
-@pytest.mark.parametrize("command, overrides, flat_rows, codes, message", [
+@pytest.mark.parametrize("command, overrides, spectrum, codes, message", [
     # a trial step that overflows in the fit is rejected, not a traceback
-    ("fit", {}, 10, (0, 3), ""),
-    ("fit", {"fit": {"initial_omega_c_mhz": 12000}}, 20, (0, 3), ""),
-    # rho overflows in params_to_eit at the starting point
-    ("fit", {"geometry": {"length_um": 1e-300}}, 10, (3,),
+    ("fit", {}, "flat10", (0, 3), ""),
+    ("fit", {"fit": {"initial_omega_c_mhz": 12000}}, "flat20", (0, 3), ""),
+    # omega_c**2 overflows at the starting point
+    ("fit", {"fit": {"initial_omega_c_mhz": 1e300}}, "flat10", (3,),
      "numerical failure: the spectrum model cannot be evaluated at the "
      "fit's starting point"),
-    ("fit", {"fit": {"include_phase": True}}, 10, (2,),
+    ("fit", {"fit": {"include_phase": True}}, "flat10", (2,),
      "config error: fit.include_phase: "),
-    ("tomography", {"geometry": {"length_um": 1e300}}, 0, (4,),
+    ("tomography", {"geometry": {"length_um": 1e300}}, "-", (4,),
      "insufficient statistics: no photon reaches a detector"),
-    ("tomography", {"statistics": {"rng_seed": 2**128}}, 0, (2,),
+    ("tomography", {"statistics": {"rng_seed": 2**128}}, "-", (2,),
      "config error: statistics.rng_seed: "),
-    ("retrieval", {"retrieval_grid": {"points": 2**64}}, 0, (2,),
+    ("retrieval", {"retrieval_grid": {"points": 2**64}}, "-", (2,),
      "config error: retrieval_grid.points: "),
-    ("blockade-phase", {"geometry": {"excitation_z_um": 100}}, 0, (2,),
+    ("blockade-phase", {"geometry": {"excitation_z_um": 100}}, "-", (2,),
      "config error: geometry.excitation_z_um: "),
-    ("spectrum", {"physics": {"omega_c_mhz": 1e300}}, 0, (2,),
+    ("spectrum", {"physics": {"omega_c_mhz": 1e300}}, "-", (2,),
      "config error: physics: omega_c**2 must be finite"),
     # retrieval builds no EIT parameters
-    ("retrieval", {"physics": {"omega_c_mhz": 1e300}}, 0, (0,), ""),
+    ("retrieval", {"physics": {"omega_c_mhz": 1e300}}, "-", (0,), ""),
+    # fit reads only physics.excited_lifetime_ns and fit.*
+    ("fit", {"physics": {"omega_c_mhz": 1e300}}, "model", (0,), ""),
 ])
-def test_edge_config_exit_code(tmp_path, capsys, command, overrides, flat_rows,
+def test_edge_config_exit_code(tmp_path, capsys, command, overrides, spectrum,
                                codes, message):
-    assert run(tmp_path, command, overrides, flat_csv(flat_rows)) in codes
+    assert run(tmp_path, command, overrides, SPECTRA[spectrum]) in codes
     assert message in capsys.readouterr().err
 
 

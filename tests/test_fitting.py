@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from rydberg_xpm.constants import angular_from_mhz
+from rydberg_xpm.config import RunConfig
+from rydberg_xpm.constants import (
+    EPSILON_0,
+    HBAR,
+    RB87_D2_CYCLING_DIPOLE,
+    angular_from_mhz,
+)
 from rydberg_xpm.errors import DegenerateJacobianError, FitNonConvergenceError
 from rydberg_xpm.fitting import (
     GAMMA_E_DEFAULT,
@@ -11,10 +17,9 @@ from rydberg_xpm.fitting import (
     _encode,
     finite_difference_jacobian,
     fit_spectrum,
-    params_to_eit,
     predict,
 )
-from rydberg_xpm.susceptibility import spectrum
+from rydberg_xpm.susceptibility import EITParams, MediumGeometry, spectrum
 
 TRUTH = FitParameters(
     od_res=31.628549819862732,
@@ -31,6 +36,17 @@ def synthetic_data(noise_rng=None, sigma=0.01):
     if noise_rng is not None:
         t = t + noise_rng.normal(0.0, sigma, t.size)
     return SpectrumData(delta_s=GRID, transmission=t, sigma=np.full(t.size, sigma))
+
+
+def physical_medium(params: FitParameters, geom: MediumGeometry) -> EITParams:
+    """A medium of the Rb87 D2 dipole whose density gives the resonant
+    optical depth params.od_res = k_s L chi0 in ``geom``."""
+    d_eg = RB87_D2_CYCLING_DIPOLE
+    rho = (params.od_res * EPSILON_0 * HBAR * GAMMA_E_DEFAULT
+           / (2.0 * d_eg**2 * geom.k_s * geom.length))
+    return EITParams(gamma_e=GAMMA_E_DEFAULT, gamma_rg=params.gamma_rg,
+                     omega_c=params.omega_c, delta_c=params.delta_c, rho=rho,
+                     d_eg=d_eg)
 
 
 def perturbed_initial():
@@ -52,12 +68,19 @@ class TestPredict:
         table = predict(p, [0.0])
         assert table.transmission[0] == pytest.approx(np.exp(-2.0), rel=1e-12)
 
-    def test_shares_code_path_with_spectrum(self):
-        eit, geom = params_to_eit(TRUTH)
-        direct = spectrum(eit, geom, GRID)
-        wrapped = predict(TRUTH, GRID)
-        assert np.array_equal(direct.transmission, wrapped.transmission)
-        assert np.array_equal(direct.phase, wrapped.phase)
+    @pytest.mark.parametrize("geom", [
+        RunConfig().geometry(),
+        MediumGeometry(length=1e-6),
+        MediumGeometry(length=5e-3, k_s=2.0 * np.pi / 1e-6),
+    ])
+    def test_matches_spectrum_of_physical_media(self, geom):
+        # the model in optical-depth units is the spectrum of every medium
+        # whose density gives od_res: length, density and dipole cancel
+        direct = spectrum(physical_medium(TRUTH, geom), geom, GRID)
+        model = predict(TRUTH, GRID)
+        np.testing.assert_allclose(model.transmission, direct.transmission,
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(model.phase, direct.phase, rtol=1e-14, atol=0.0)
 
     def test_snapshot_row(self):
         table = predict(TRUTH, [angular_from_mhz(-10.0)])
@@ -236,8 +259,9 @@ class TestFitInvariants:
         from rydberg_xpm.susceptibility import transmission_fwhm
 
         result = fit_spectrum(synthetic_data(), perturbed_initial())
-        eit, geom = params_to_eit(result.params)
-        width = mhz_from_angular(transmission_fwhm(eit, geom))
+        geom = RunConfig().geometry()
+        width = mhz_from_angular(
+            transmission_fwhm(physical_medium(result.params, geom), geom))
         assert width == pytest.approx(3.7, rel=0.02)
 
     def test_transmission_fit_predicts_phase_curve(self):

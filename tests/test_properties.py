@@ -1,0 +1,130 @@
+"""Physics invariants over the config space.
+
+Each test draws config keys from their ``config._TABLE`` ranges (0 where
+the range allows it, and the default times 10^k with |k| <= 3, either sign
+where the range allows it), builds the model objects through ``RunConfig``
+as the CLI does, skips a draw that the config rejects, and checks an
+invariant of the model.  The settings are those of
+``tests/test_exit_codes.py``: derandomized, with a fixed example count.
+"""
+
+import math
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from rydberg_xpm.blockade import density_scan, integrated_phase
+from rydberg_xpm.config import _TABLE, RunConfig
+from rydberg_xpm.errors import ExactEITWarning, QuadratureError, RydbergXPMError
+from rydberg_xpm.photostatistics import truth_stokes
+from rydberg_xpm.polarization import balanced_input_state
+from rydberg_xpm.susceptibility import chi
+
+from conftest import angle_diff
+
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.filter_too_much])
+
+
+def in_range(section: str, key: str):
+    """Values of the float key ``section.key`` in its ``_TABLE`` range."""
+    default, (_, allowed) = _TABLE[section][key]
+    signs = [sign for sign in (1.0, -1.0) if allowed(sign * abs(default))]
+    values = st.builds(lambda k, sign: sign * abs(default) * 10.0**k,
+                       st.floats(-3.0, 3.0), st.sampled_from(signs))
+    if allowed(0.0):
+        values = st.one_of(st.just(0.0), values)
+    return values.filter(allowed)  # the range's upper bound, if any
+
+
+@st.composite
+def medium_configs(draw):
+    """A RunConfig with every physics key and the medium's length, C6 and
+    excitation position drawn."""
+    overrides = {
+        "physics": {key: draw(in_range("physics", key)) for key in _TABLE["physics"]},
+        "geometry": {"length_um": draw(in_range("geometry", "length_um"))},
+        "blockade": {"c6_atomic_units": draw(in_range("blockade", "c6_atomic_units")),
+                     "sign_reversed": draw(st.booleans())},
+    }
+    overrides["geometry"]["excitation_z_um"] = (
+        draw(st.floats(0.0, 1.0)) * overrides["geometry"]["length_um"])
+    return RunConfig(overrides)
+
+
+def built(cfg: RunConfig, *builders: str):
+    """The named model objects of ``cfg``; the draw is skipped when the
+    config rejects them."""
+    try:
+        return [getattr(cfg, name)() for name in builders]
+    except RydbergXPMError:
+        assume(False)
+
+
+@PROPERTY
+@given(cfg=medium_configs())
+def test_susceptibility_is_passive(cfg):
+    # Im chi >= 0 at every detuning and every pair-state shift, the
+    # two-photon resonance, 0 and an infinite shift included
+    (params,) = built(cfg, "eit_params")
+    width = max(params.omega_c, params.gamma_e, params.gamma_rg)
+    ds = np.concatenate((-params.delta_c + width * np.linspace(-4.0, 4.0, 81),
+                         [0.0, cfg.delta_s, -params.delta_c]))
+    shift = np.concatenate(([0.0, math.inf], np.geomspace(1e-3, 1e3, 13) * width,
+                            -np.geomspace(1e-3, 1e3, 13) * width))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactEITWarning)
+        values = chi(params, ds[:, None], shift=shift[None, :])
+    assert np.all(values.imag >= 0.0)
+
+
+@PROPERTY
+@given(cfg=medium_configs(),
+       fractions=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4, unique=True))
+def test_density_scan_is_the_per_point_integrals(cfg, fractions):
+    # the scan scales two integrals at its largest density; each row must
+    # equal the integrals evaluated afresh at its own density
+    params, geom, blk = built(cfg, "eit_params", "geometry", "blockade")
+    rho = np.sort(params.rho * np.array(fractions))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExactEITWarning)
+            scan = density_scan(params, geom, blk, cfg.delta_s, rho)
+            direct = np.array([
+                [integrated_phase(replace(params, rho=r), geom, blk, cfg.delta_s, n)[1]
+                 for n in (0, 1)] for r in rho]).T
+    except QuadratureError:
+        assume(False)
+    for got, want in ((scan.phase0, direct[0]), (scan.phase1, direct[1])):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                   equal_nan=False)
+
+
+# OD up to 700: beyond about 708 the output port powers exp(-OD) are
+# subnormal floats and the truth Stokes vector loses its precision
+@PROPERTY
+@given(coherence=st.one_of(st.just(1.0), in_range("statistics", "coherence_factor")),
+       suppression=in_range("statistics", "sigma_plus_suppression"),
+       od=st.floats(0.0, 700.0), phi=st.floats(-100.0, 100.0))
+def test_truth_stokes_radius_at_most_one(coherence, suppression, od, phi):
+    # a pure state (coherence 1) is on the sphere, a depolarized one inside
+    cfg = RunConfig({"statistics": {"coherence_factor": coherence,
+                                    "sigma_plus_suppression": suppression}})
+    (experiment,) = built(cfg, "experiment")
+    truth = truth_stokes(experiment, od, phi, balanced_input_state(od))
+    assert truth.s0 <= 1.0 + 1e-15
+
+
+@PROPERTY
+@given(od=st.floats(0.0, 700.0), phi=st.floats(-100.0, 100.0))
+def test_truth_azimuth_is_the_medium_phase(od, phi):
+    # a pure state and no sigma+ phase: the azimuth reads phi out directly
+    experiment = replace(RunConfig().experiment(), coherence_factor=1.0,
+                         sigma_plus_suppression=math.inf)
+    truth = truth_stokes(experiment, od, phi, balanced_input_state(od))
+    assert angle_diff(truth.phi, phi) == pytest.approx(0.0, abs=1e-13)
