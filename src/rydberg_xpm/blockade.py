@@ -129,8 +129,9 @@ def integrated_phase(
     a = np.concatenate([e[:-1] for e in edges])[:, None]
     half = 0.5 * np.concatenate([np.diff(e) for e in edges])[:, None]
     r = a + half * (1.0 + _GL_NODES)
+    # no shift at C6 = 0, rather than 0 / 0 where r^6 underflows
     with np.errstate(divide="ignore", over="ignore"):
-        shift = blk.c6 / (HBAR * r**6)
+        shift = blk.c6 / (HBAR * r**6) if blk.c6 > 0.0 else np.zeros_like(r)
     # the n- and 2n-node estimates of the integral of chi over z
     coarse, fine = np.sum((half * chi(p, ds, shift=shift)) @ _GL_WEIGHTS.T, axis=0)
     achieved = max(abs(c - f) / max(abs(f), 1e-12 * length)

@@ -147,8 +147,9 @@ def fit_spectrum(
     Raises FitNonConvergenceError (carrying the best point so far) at the
     iteration cap, DegenerateJacobianError when the normal equations are
     singular, and RydbergXPMError when the model cannot be evaluated at
-    ``initial``.  A trial step where it cannot be evaluated has an infinite
-    cost and is rejected: the damping rises.
+    ``initial`` or gamma_e is not finite and positive.  A trial step where
+    it cannot be evaluated has an infinite cost and is rejected: the
+    damping rises.
     """
     if include_phase and data.phase is None:
         raise ValueError("include_phase requires phase rows in the data")
@@ -170,9 +171,11 @@ def fit_spectrum(
             r = np.concatenate((r, r_ph))
         return r
 
-    u = _encode(initial, gamma_e)
-    r = residuals(u)
-    cost = float(r @ r)
+    cost = math.inf
+    if 0.0 < gamma_e < math.inf:  # else the detuning's scale is 0 or infinite
+        u = _encode(initial, gamma_e)
+        r = residuals(u)
+        cost = float(r @ r)
     if not math.isfinite(cost):
         raise RydbergXPMError("the spectrum model cannot be evaluated at the "
                               "fit's starting point")

@@ -5,10 +5,11 @@ stored with probability 1 - exp(-<n_c> p_store) (Poisson thinning; blockade
 suppresses multiple stored excitations, so storage is 0 or 1).  The target
 pulse (mean <n_t>) propagates through the medium whose optical depth and
 phase depend on whether an excitation is stored, and is detected in one of
-three polarization bases; detected counts per output port are thinned
-Poisson with the transmission and detection efficiency folded in.  The
-stored excitation is retrieved with the delay-dependent retrieval
-probability, and analysis may postselect on retrieval.
+three polarization bases; the counts of an output port are Poisson with
+mean <n_t> times the detection efficiency times its power from
+``polarization.port_powers``.  The stored excitation is retrieved with the
+delay-dependent retrieval probability, and analysis may postselect on
+retrieval.  This module only samples those powers and estimates from counts.
 
 Randomness is counter-based: shot i consumes exactly two Philox counter
 blocks (eight 64-bit words) keyed by the seed, so any batch, chunked or
@@ -56,10 +57,9 @@ import numpy as np
 
 from . import defaults
 from .errors import InsufficientStatisticsError
-from .polarization import PolarizationState, StokesVector, apply_medium
+from .polarization import (BASIS_NAMES, PolarizationState, StokesVector, apply_medium,
+                           port_powers, stokes)
 
-BASIS_NAMES = ("HV", "DA", "LR")
-_PORTS = {"HV": ("H", "V"), "DA": ("D", "A"), "LR": ("L", "R")}
 _MANTISSA = 2**53  # (raw >> 11) / 2^53 maps uint64 -> [0, 1)
 # thresholds reach 2^53, so the group number of a table key sits above bit 53
 _GROUP_SHIFT = np.uint64(54)
@@ -231,25 +231,6 @@ def _grouped_table(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table, starts, first
 
 
-def _depolarized_port_powers(
-    state: PolarizationState, coherence_factor: float
-) -> dict[str, float]:
-    """Port powers of the output density matrix whose sigma+/sigma-
-    coherence is scaled by ``coherence_factor`` (populations untouched)."""
-    pp = abs(state.c_plus) ** 2
-    mm = abs(state.c_minus) ** 2
-    pm = coherence_factor * state.c_plus.conjugate() * state.c_minus
-    half = (pp + mm) / 2.0
-    return {
-        "H": half + pm.real,
-        "V": half - pm.real,
-        "D": half + pm.imag,
-        "A": half - pm.imag,
-        "L": pp,
-        "R": mm,
-    }
-
-
 def output_state(
     config: ExperimentConfig, od: float, phi: float, input_state: PolarizationState
 ) -> PolarizationState:
@@ -263,15 +244,7 @@ def truth_stokes(
     config: ExperimentConfig, od: float, phi: float, input_state: PolarizationState
 ) -> StokesVector:
     """Stokes vector the estimator converges to for medium response (od, phi)."""
-    powers = _depolarized_port_powers(
-        output_state(config, od, phi, input_state), config.coherence_factor
-    )
-    n = powers["L"] + powers["R"]
-    return StokesVector(
-        s_hv=(powers["H"] - powers["V"]) / n,
-        s_da=(powers["D"] - powers["A"]) / n,
-        s_lr=(powers["L"] - powers["R"]) / n,
-    )
+    return stokes(output_state(config, od, phi, input_state), config.coherence_factor)
 
 
 def _port_lambdas(
@@ -283,12 +256,9 @@ def _port_lambdas(
     scale = config.mean_photons_target * config.detection_efficiency
     table = []
     for od_j, phi_j in ((od0, phi0), (od1, phi1)):
-        powers = _depolarized_port_powers(
-            output_state(config, od_j, phi_j, input_state), config.coherence_factor
-        )
-        for name in BASIS_NAMES:
-            pk, pl = _PORTS[name]
-            table.append((scale * powers[pk], scale * powers[pl]))
+        powers = port_powers(output_state(config, od_j, phi_j, input_state),
+                             config.coherence_factor)
+        table.extend((scale * pk, scale * pl) for pk, pl in powers)
     return table
 
 

@@ -9,18 +9,19 @@ table):
     |D>      = (|H> + |V>) / sqrt(2)
     |A>      = (|H> - |V>) / sqrt(2)
 
-For a state c+|sigma+> + c-|sigma-> with total power N = |c+|^2 + |c-|^2 the
-normalized Stokes parameters S_kl = (P_k - P_l)/(P_k + P_l) are
+For a state c+|sigma+> + c-|sigma-> of total power N = |c+|^2 + |c-|^2
+whose sigma+/sigma- coherence is scaled by ``coherence`` (1 when pure),
+the port powers are
 
-    S_HV = 2 Re(c+* c-) / N
-    S_DA = 2 Im(c+* c-) / N
-    S_LR = (|c+|^2 - |c-|^2) / N
+    P_H, P_V = N/2 +- coherence Re(c+* c-)        P_L = |c+|^2
+    P_D, P_A = N/2 +- coherence Im(c+* c-)        P_R = |c-|^2
 
-so a pure sigma- state maps to (0, 0, -1) and, in the spherical decomposition
-(S_HV, S_DA, S_LR) = S0 (sin(theta) cos(phi), sin(theta) sin(phi),
-cos(theta)), the azimuth phi equals the phase of c- relative to c+.  With
-real positive input amplitudes the azimuth therefore reads out the medium
-phase shift directly.
+and the normalized Stokes parameters are S_kl = (P_k - P_l) / N (S_HV =
+2 Re(c+* c-) / N for a pure state).  A pure sigma- state maps to
+(0, 0, -1) and, in the spherical decomposition (S_HV, S_DA, S_LR) =
+S0 (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)), the azimuth phi
+equals the phase of c- relative to c+.  With real positive input
+amplitudes the azimuth therefore reads out the medium phase shift directly.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InsufficientStatisticsError
+
+BASIS_NAMES = ("HV", "DA", "LR")
 
 
 @dataclass(frozen=True)
@@ -104,17 +107,34 @@ def apply_medium(
     return PolarizationState(c_plus, c_minus)
 
 
-def stokes(state: PolarizationState) -> StokesVector:
-    """Normalized Stokes parameters of the (renormalized) state."""
-    n = state.power
-    if n == 0.0:
-        raise ValueError("cannot form Stokes parameters of a zero-power state")
-    cross = state.c_plus.conjugate() * state.c_minus
-    return StokesVector(
-        s_hv=2.0 * cross.real / n,
-        s_da=2.0 * cross.imag / n,
-        s_lr=(abs(state.c_plus) ** 2 - abs(state.c_minus) ** 2) / n,
-    )
+def port_powers(
+    state: PolarizationState, coherence: float
+) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
+    """(P_H, P_V), (P_D, P_A) and (P_L, P_R), in the order of BASIS_NAMES, of
+    the state's density matrix with its sigma+/sigma- coherence scaled by
+    ``coherence`` (populations untouched)."""
+    pp = abs(state.c_plus) ** 2
+    mm = abs(state.c_minus) ** 2
+    pm = coherence * state.c_plus.conjugate() * state.c_minus
+    half = (pp + mm) / 2.0
+    return ((half + pm.real, half - pm.real),
+            (half + pm.imag, half - pm.imag),
+            (pp, mm))
+
+
+def stokes(state: PolarizationState, coherence: float = 1.0) -> StokesVector:
+    """Normalized Stokes parameters (P_k - P_l) / (P_L + P_R) of the port
+    powers at ``coherence``.  Both amplitudes are first scaled by the power
+    of two that brings their largest component into [1/2, 1), which is
+    exact: a weak state, whose own powers would be subnormal, keeps its
+    digits."""
+    amplitudes = (state.c_plus, state.c_minus)
+    _, e = math.frexp(max(abs(x) for c in amplitudes for x in (c.real, c.imag)))
+    scaled = (complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+              for c in amplitudes)
+    hv, da, lr = port_powers(PolarizationState(*scaled), coherence)
+    n = lr[0] + lr[1]
+    return StokesVector(*((k - l) / n for k, l in (hv, da, lr)))
 
 
 def visibility(s: StokesVector) -> float:

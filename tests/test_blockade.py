@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,17 @@ class TestIntegratedPhase:
         od1, phi1 = integrated_phase(params, geom, free, ds_op, 1)
         assert phi1 == pytest.approx(phi0, rel=1e-9)
         assert od1 == pytest.approx(od0, rel=1e-9)
+
+    def test_no_interaction_where_r6_underflows(self, params, geom, ds_op):
+        # C6 = 0 beside an excitation so close to the edge that r^6
+        # underflows at its nodes: a zero shift, not 0 / 0
+        free = BlockadeParams(c6=0.0, excitation_z=1e-306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            od1, phi1 = integrated_phase(params, geom, free, ds_op, 1)
+        od0, phi0 = integrated_phase(params, geom, free, ds_op, 0)
+        assert phi1 == pytest.approx(phi0, rel=1e-12)
+        assert od1 == pytest.approx(od0, rel=1e-12)
 
     def test_full_blockade_limit(self, params, geom, blk, ds_op):
         huge = replace(blk, c6=blk.c6 * 1e12)

@@ -6,7 +6,8 @@ strategy derived from ``config._TABLE`` sets one to three keys
 of a small run to an edge value and runs a subcommand through ``cli.main``
 in this process: the exit code must be 0, 2, 3 or 4, an exception that
 escapes ``main`` (a traceback in a fresh process) fails the test, and so
-does an output holding NaN or Infinity, in a JSON value or a CSV cell.
+do an output holding NaN or Infinity, in a JSON value or a CSV cell, and a
+numpy RuntimeWarning on stderr.
 Reference: MacIver et al., "Hypothesis: A new approach to property-based
 testing", JOSS 4(43) 1891 (2019).
 """
@@ -105,11 +106,22 @@ def run(tmp: Path, command: str, overrides, spectrum: str, extra=()) -> int:
     ("retrieval", {"physics": {"omega_c_mhz": 1e300}}, "-", (0,), ""),
     # fit reads only physics.excited_lifetime_ns and fit.*
     ("fit", {"physics": {"omega_c_mhz": 1e300}}, "model", (0,), ""),
+    # gamma_e overflows: no fit starts, and no 0 * inf is formed
+    ("fit", {"physics": {"excited_lifetime_ns": 1e-300}}, "model", (3,),
+     "numerical failure: the spectrum model cannot be evaluated at the "
+     "fit's starting point"),
+    # no interaction where r^6 underflows: a zero shift, not 0 / 0
+    ("blockade-phase", {"blockade": {"c6_atomic_units": 0},
+                        "geometry": {"excitation_z_um": 1e-300}}, "-", (0,), ""),
+    ("density-scan", {"blockade": {"c6_atomic_units": 0},
+                      "geometry": {"excitation_z_um": 1e-300}}, "-", (0,), ""),
 ])
 def test_edge_config_exit_code(tmp_path, capsys, command, overrides, spectrum,
                                codes, message):
     assert run(tmp_path, command, overrides, SPECTRA[spectrum]) in codes
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "RuntimeWarning" not in err
 
 
 def test_repetitions_beyond_the_bound_exit_2(tmp_path, capsys, monkeypatch):
@@ -167,9 +179,10 @@ def configs(draw):
        spectrum=st.sampled_from([flat_csv(), model_csv()]))
 def test_every_config_exits_with_a_documented_code(command, overrides, spectrum):
     with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
             code = run(Path(tmp), command, overrides, spectrum)
         assert code in (0, 2, 3, 4)
+        assert "RuntimeWarning" not in err.getvalue()
         for path in (Path(tmp) / "out").glob("*.json"):
             json.loads(path.read_text(), parse_constant=refuse)
         for path in (Path(tmp) / "out").glob("*.csv"):

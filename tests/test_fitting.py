@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,11 @@ from rydberg_xpm.constants import (
     RB87_D2_CYCLING_DIPOLE,
     angular_from_mhz,
 )
-from rydberg_xpm.errors import DegenerateJacobianError, FitNonConvergenceError
+from rydberg_xpm.errors import (
+    DegenerateJacobianError,
+    FitNonConvergenceError,
+    RydbergXPMError,
+)
 from rydberg_xpm.fitting import (
     GAMMA_E_DEFAULT,
     FitParameters,
@@ -148,6 +155,15 @@ class TestFitRecovery:
         )
         with pytest.raises(DegenerateJacobianError):
             fit_spectrum(synthetic_data(), degenerate)
+
+    @pytest.mark.parametrize("gamma_e", [math.inf, 0.0, math.nan])
+    def test_unusable_gamma_e_rejected_at_the_start(self, gamma_e):
+        # gamma_e scales the fitted detuning: 0 * inf must not be formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RydbergXPMError, match="cannot be evaluated at "
+                               "the fit's starting point"):
+                fit_spectrum(synthetic_data(), TRUTH, gamma_e=gamma_e)
 
 
 class TestFitInvariants:

@@ -624,17 +624,27 @@ class TestEstimator:
 
 class TestDepolarization:
     def test_truth_matches_pure_state_at_full_coherence(self):
-        from rydberg_xpm.polarization import apply_medium
-
+        # the amplitude form of a pure state's Stokes vector:
+        # (2 Re(c+* c-), 2 Im(c+* c-), |c+|^2 - |c-|^2) / N
         cfg = ExperimentConfig(coherence_factor=1.0)
         target = truth_stokes(cfg, TRUTH[2], TRUTH[3], balanced_state())
-        pure = stokes(
-            apply_medium(balanced_state().normalized(), TRUTH[2], TRUTH[3],
-                         cfg.sigma_plus_suppression)
-        )
-        assert target.s_hv == pytest.approx(pure.s_hv, rel=1e-12)
-        assert target.s_da == pytest.approx(pure.s_da, rel=1e-12)
-        assert target.s_lr == pytest.approx(pure.s_lr, abs=1e-12)
+        out = output_state(cfg, TRUTH[2], TRUTH[3], balanced_state())
+        cross = out.c_plus.conjugate() * out.c_minus
+        n = out.power
+        assert target.s_hv == pytest.approx(2 * cross.real / n, rel=1e-12)
+        assert target.s_da == pytest.approx(2 * cross.imag / n, rel=1e-12)
+        assert target.s_lr == pytest.approx(
+            (abs(out.c_plus) ** 2 - abs(out.c_minus) ** 2) / n, abs=1e-12)
+
+    def test_weak_output_state_keeps_its_azimuth(self):
+        # at OD 740 the output port powers, about e^-740, are subnormal
+        # floats; the azimuth still reads the medium phase out
+        from rydberg_xpm.polarization import balanced_input_state
+
+        cfg = ExperimentConfig(coherence_factor=1.0,
+                               sigma_plus_suppression=math.inf)
+        truth = truth_stokes(cfg, 740.0, 1.0, balanced_input_state(740.0))
+        assert truth.phi == pytest.approx(1.0, abs=1e-13)
 
     def test_coherence_factor_scales_visibility(self):
         cfg = ExperimentConfig(coherence_factor=0.75)

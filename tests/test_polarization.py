@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from conftest import angle_diff
 from rydberg_xpm.errors import InsufficientStatisticsError
 from rydberg_xpm.polarization import (
+    BASIS_NAMES,
     PolarizationState,
     StokesVector,
     apply_medium,
     balanced_input_state,
+    port_powers,
     stokes,
     visibility,
 )
@@ -43,6 +45,47 @@ class TestConventions:
     def test_quarter_phase_gives_diagonal(self):
         s = stokes(PolarizationState(1.0, cmath.exp(1j * math.pi / 2)))
         assert s.phi == pytest.approx(math.pi / 2, abs=1e-15)
+
+
+class TestPortPowers:
+    STATE = PolarizationState(0.9 * cmath.exp(0.4j), 1.1 * cmath.exp(-1.3j))
+
+    def test_projections_onto_the_basis_table(self):
+        # |<k|psi>|^2 with psi written in H/V from the table in the module
+        # docstring: psi_H = (c+ + c-)/sqrt2, psi_V = i (c+ - c-)/sqrt2
+        cp, cm = self.STATE.c_plus, self.STATE.c_minus
+        h, v = (cp + cm) / math.sqrt(2), 1j * (cp - cm) / math.sqrt(2)
+        expected = ((abs(h) ** 2, abs(v) ** 2),
+                    (abs(h + v) ** 2 / 2, abs(h - v) ** 2 / 2),
+                    (abs(cp) ** 2, abs(cm) ** 2))
+        got = port_powers(self.STATE, 1.0)
+        assert len(got) == len(BASIS_NAMES)
+        for pair, want in zip(got, expected):
+            assert pair == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("coherence", [0.0, 0.3, 0.75])
+    def test_coherence_scales_the_linear_ports(self, coherence):
+        full = port_powers(self.STATE, 1.0)
+        mixed = port_powers(self.STATE, coherence)
+        half = self.STATE.power / 2
+        for (k1, l1), (k, l) in zip(full[:2], mixed[:2]):
+            assert k - half == pytest.approx(coherence * (k1 - half), abs=1e-15)
+            assert k + l == pytest.approx(self.STATE.power, rel=1e-15)
+        assert mixed[2] == full[2]
+
+    @pytest.mark.parametrize("exponent", [-530, -515, -300, 500])
+    def test_weak_and_strong_states_keep_every_bit(self, exponent):
+        # scaling both amplitudes by a power of two is exact, so the Stokes
+        # vector is that of the unscaled state, although the powers of a
+        # state scaled by 2^-515 or less are subnormal floats
+        def scaled(c):
+            return complex(math.ldexp(c.real, exponent),
+                           math.ldexp(c.imag, exponent))
+
+        weak = PolarizationState(scaled(self.STATE.c_plus),
+                                 scaled(self.STATE.c_minus))
+        for coherence in (1.0, 0.75):
+            assert stokes(weak, coherence) == stokes(self.STATE, coherence)
 
 
 class TestApplyMedium:
