@@ -24,7 +24,8 @@ bit 53.  A count is 0 exactly when m is at most its group's first
 threshold, floor(e^-lam 2^53) (2^53 when lam = 0), which holds for most
 shots at a mean below one photon; so a port's counts are zeroed and one
 ``searchsorted`` of the table draws only the shots above that threshold.
-``estimate_stokes`` likewise bins only the kept shots that count a photon.
+``estimate_stokes`` likewise bins only the kept shots that count a photon,
+_BLOCK_SHOTS shots at a time, so its temporaries are those of a slice.
 
 ``simulate_batch`` allocates its five output arrays once and fills them
 _BLOCK_SHOTS shots at a time, so its temporaries are those of a block, not
@@ -65,11 +66,13 @@ _MANTISSA = 2**53  # (raw >> 11) / 2^53 maps uint64 -> [0, 1)
 _GROUP_SHIFT = np.uint64(54)
 _BLOCKS_PER_SHOT = 2  # 8 uniforms per shot
 CHUNK_SHOTS = 2**18  # shots per simulate_batch call of tally_stokes
-# simulate_batch fills its shots _BLOCK_SHOTS at a time (2 MB of Philox
-# words; 2^13 to 2^16 shots ran equally fast on a 2-core Xeon with 2 MB of L2
-# per core, 2^12 and 2^17 slower) on at most _MAX_WORKERS threads, each given
-# whole blocks
-_BLOCK_SHOTS = 2**15
+# simulate_batch fills its shots _BLOCK_SHOTS at a time on at most
+# _MAX_WORKERS threads, each given whole blocks, and _basis_sums bins in
+# slices of the same size.  A block's 512 KB of Philox words is reused from
+# the heap, where the 2 MB of a 2^15-shot block was mapped afresh (26k page
+# faults per 2^22 shots, against 4k); on a 2-core Xeon 2^13 and 2^14 ran as
+# fast as 2^15, and 2^12 about 20 % slower.
+_BLOCK_SHOTS = 2**13
 _MAX_WORKERS = 2
 # The Poisson table and its temporaries grow linearly with the mean count
 # (321 MB at a mean of 10^7), so the mean is bounded far below where it
@@ -391,6 +394,8 @@ def _fill_range(kernel: _Kernel, batch: ShotBatch, lo: int, hi: int) -> None:
         group = basis + 3 * stored.view(BASIS_DTYPE)
         _draw_counts(kernel.table_k, group, m[:, 3], batch.counts_k[a:b])
         _draw_counts(kernel.table_l, group, m[:, 4], batch.counts_l[a:b])
+        # free this block's words before the next block draws its own
+        del m
 
 
 def _draw_counts(table, group: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
@@ -408,20 +413,23 @@ def _draw_counts(table, group: np.ndarray, m: np.ndarray, out: np.ndarray) -> No
 def _basis_sums(batch: ShotBatch, postselect: bool) -> tuple[np.ndarray, int]:
     """Summed (port k, port l) counts per basis, shape (3, 2), and the
     number of shots kept, over all shots or the retrieved ones.  Only the
-    kept shots that count a photon are binned: the rest add nothing."""
-    counted = np.logical_or(batch.counts_k, batch.counts_l)
-    if postselect:
-        counted &= batch.control_retrieved
-    hit = np.flatnonzero(counted)
-    bins = batch.basis_index[hit]
+    kept shots that count a photon are binned, _BLOCK_SHOTS at a time: the
+    rest add nothing."""
     # The float sums are exact: a batch of at most MAX_REPETITIONS shots
     # sums to below 2^53.
-    sums = np.column_stack([
-        np.bincount(bins, weights=counts[hit], minlength=3)
-        for counts in (batch.counts_k, batch.counts_l)
-    ]).astype(np.int64)
+    sums = np.zeros((len(BASIS_NAMES), 2))
+    for a in range(0, len(batch), _BLOCK_SHOTS):
+        b = a + _BLOCK_SHOTS
+        counts = (batch.counts_k[a:b], batch.counts_l[a:b])
+        counted = np.logical_or(*counts)
+        if postselect:
+            counted &= batch.control_retrieved[a:b]
+        hit = np.flatnonzero(counted)
+        bins = batch.basis_index[a:b][hit]
+        for j, port in enumerate(counts):
+            sums[:, j] += np.bincount(bins, weights=port[hit], minlength=3)
     n_kept = np.count_nonzero(batch.control_retrieved) if postselect else len(batch)
-    return sums, int(n_kept)
+    return sums.astype(np.int64), int(n_kept)
 
 
 def _summarize_counts(

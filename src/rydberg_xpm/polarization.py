@@ -44,8 +44,14 @@ class PolarizationState:
     c_minus: complex
 
     def __post_init__(self):
-        if self.power == 0.0:
-            raise ValueError("polarization state must carry nonzero power")
+        if not (cmath.isfinite(self.c_plus) and cmath.isfinite(self.c_minus)):
+            raise ValueError("polarization amplitudes must be finite")
+        try:
+            power = self.power
+        except OverflowError:  # a float ** 2 beyond the float range
+            power = math.inf
+        if not 0.0 < power < math.inf:
+            raise ValueError("polarization state must carry nonzero, finite power")
 
     @property
     def power(self) -> float:

@@ -157,6 +157,22 @@ class TestStokesInvariants:
         with pytest.raises(ValueError):
             PolarizationState(0.0, 0.0)
 
+    @pytest.mark.parametrize("c_plus, c_minus", [
+        (math.nan, 1.0), (1.0, complex(0.0, math.nan)), (math.inf, 0.0),
+        (1.0, complex(-math.inf, 1.0)),
+        (1e200, 0.0),  # abs ** 2 raises OverflowError
+        (0.0, complex(1.7e308, 1.7e308)),  # abs raises OverflowError
+        (1e154, 1e154),  # each power is finite, their sum is not
+    ])
+    def test_non_finite_state_rejected(self, c_plus, c_minus):
+        with pytest.raises(ValueError):
+            PolarizationState(c_plus, c_minus)
+
+    def test_largest_finite_power_accepted(self):
+        big = math.sqrt(np.finfo(float).max) * (1 - 1e-15)
+        assert PolarizationState(big, 0.0).power < math.inf
+        assert stokes(PolarizationState(big, 0.0)) == StokesVector(0.0, 0.0, 1.0)
+
 
 class TestVisibility:
     def test_direct_formula(self):
