@@ -14,8 +14,8 @@ axis: r = |z - z0| with z0 the position of the stored excitation.
 
 The controlled phase shift is the difference between the propagation phase
 with and without a stored excitation.  The phase with one excitation is the
-integral of the shifted susceptibility along the axis, evaluated by
-composite Gauss-Legendre quadrature with a node-doubling error estimate; a
+integral of the shifted susceptibility along the axis, in closed form (chi
+is a Moebius function of the shift, see ``integrated_phase``); a
 hard-sphere estimate replaces the gradual r^-6 crossover with a fully
 blockaded slab of length 2 R_b.
 
@@ -27,6 +27,7 @@ largest density, and scales them.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -34,18 +35,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import HBAR
-from .errors import BlockadeClampWarning, QuadratureError
+from .errors import BlockadeClampWarning
 from .susceptibility import EITParams, MediumGeometry, chi, od_and_phase
 
-_REL_TOL = 1e-6  # requested relative accuracy of the blockade integral
-_PANELS_PER_DECADE = 16  # in r; the vdW shift changes 6 decades per decade of r
-
-# the 16- and 32-node Gauss-Legendre rules on [-1, 1], computed once (leggauss
-# costs more than a blockade integral): nodes side by side, one weight row
-# per rule that is zero on the other rule's nodes
-(_X16, _W16), (_X32, _W32) = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
-_GL_NODES = np.concatenate((_X16, _X32))
-_GL_WEIGHTS = np.array([np.r_[_W16, 0.0 * _W32], np.r_[0.0 * _W16, _W32]])
+# _blockaded_length sums a series below this side^6 / |q| (to 1e-14 with
+# _SERIES_TERMS terms) and takes the large-side limit above _LIMIT_ABOVE
+_SERIES_BELOW, _SERIES_TERMS, _LIMIT_ABOVE = 0.1, 12, 1e9
+_ROOTS = tuple(cmath.rect(1.0, (2 * k + 1) * math.pi / 6) for k in range(6))  # of -1
 
 
 @dataclass(frozen=True)
@@ -77,15 +73,29 @@ def blockade_radius(c6: float, delta_t: float) -> float:
     return (abs(c6) / (HBAR * delta_t)) ** (1.0 / 6.0)
 
 
-def _radial_panels(c6: float, w_ref: float, r_max: float) -> np.ndarray:
-    """Panel edges in r on [0, r_max]: one panel out to where the shift is
-    1e9 w_ref (the two-level limit to ~1e-9), then geometric panels through
-    the r^-6 crossover, where the shift equals w_ref."""
-    r_lo = blockade_radius(c6, w_ref) * 10.0**-1.5
-    if not 0.0 < r_lo < r_max:  # no interaction, or blockaded throughout
-        return np.array([0.0, r_max])
-    n = math.ceil(math.log10(r_max / r_lo) * _PANELS_PER_DECADE)
-    return np.concatenate(([0.0], np.geomspace(r_lo, r_max, n + 1)))
+def _blockaded_length(q: complex, side: float) -> complex:
+    """The integral of q / (r^6 + q) over r in [0, side], q != 0.
+
+    With t = side / |q|^(1/6), it is -sum_k rho_k log(1 - side / rho_k) / 6
+    over the roots rho_k of r^6 = -q (none on the positive real axis for a
+    passive medium); for t^6 <= 0.1, where that sum cancels, the series
+    side * sum_n (-side^6 / q)^n / (6n + 1); for t^6 >= 1e9 the limit
+    (pi / 3) q^(1/6) - q / (5 side^5) (to 1e-15).  Infinite q gives ``side``.
+    """
+    theta = cmath.phase(q)
+    with np.errstate(over="ignore"):  # beyond the float range: inf
+        scale = float(np.abs(q)) ** (1.0 / 6.0)
+        t = side / scale
+        t6 = float(np.float64(t) ** 6)
+    if t6 <= _SERIES_BELOW:
+        w = -t6 * cmath.exp(-1j * theta)  # -side^6 / q
+        return side * sum(w**n / (6 * n + 1) for n in range(_SERIES_TERMS))
+    if t6 >= _LIMIT_ABOVE:
+        return scale * (math.pi / 3.0 * cmath.exp(1j * theta / 6.0)
+                        - cmath.exp(1j * theta) * (1.0 / t) ** 5 / 5.0)
+    turn = cmath.exp(1j * theta / 6.0)
+    return -scale * sum(rho * cmath.log(1.0 - t / rho)
+                        for rho in (turn * root for root in _ROOTS)) / 6.0
 
 
 def integrated_phase(
@@ -100,10 +110,12 @@ def integrated_phase(
 
     n = 0 is the uniform medium.  n = 1 integrates the blockade-shifted
     susceptibility chi(shift = C6/(hbar r^6)) along the axis, r = |z - z0|,
-    by composite Gauss-Legendre quadrature on panels spaced geometrically
-    around the r^-6 crossover on each side of z0.  The 16-node result is
-    compared with the 32-node one; QuadratureError is raised when they
-    differ by more than 1e-6 relative.
+    in closed form: with a = Gamma_e - 2i Delta_s and K = C6/hbar,
+
+        chi(r) = chi_EIT + (chi_2L - chi_EIT) q / (r^6 + q),
+        q = -2i K / (gamma_rg - 2i (Delta_c + Delta_s) + Omega_c^2 / a),
+
+    between chi at no shift and at an infinite one (the two-level value).
     """
     if n_excitations not in (0, 1):
         raise ValueError("n_excitations must be 0 or 1")
@@ -120,26 +132,16 @@ def integrated_phase(
         raise ValueError(
             f"excitation_z = {z0} must lie within the medium [0, {length}]"
         )
-
-    # the crossover scale: the larger of the decay rate and the operating
-    # two-photon detuning
-    w_ref = max(params.gamma_e, abs(params.delta_c + delta_s), params.gamma_rg)
-    edges = [_radial_panels(blk.c6, w_ref, side)
-             for side in (z0, length - z0) if side > 0.0]
-    a = np.concatenate([e[:-1] for e in edges])[:, None]
-    half = 0.5 * np.concatenate([np.diff(e) for e in edges])[:, None]
-    r = a + half * (1.0 + _GL_NODES)
-    # no shift at C6 = 0, rather than 0 / 0 where r^6 underflows
-    with np.errstate(divide="ignore", over="ignore"):
-        shift = blk.c6 / (HBAR * r**6) if blk.c6 > 0.0 else np.zeros_like(r)
-    # the n- and 2n-node estimates of the integral of chi over z
-    coarse, fine = np.sum((half * chi(p, ds, shift=shift)) @ _GL_WEIGHTS.T, axis=0)
-    achieved = max(abs(c - f) / max(abs(f), 1e-12 * length)
-                   for c, f in ((coarse.imag, fine.imag), (coarse.real, fine.real)))
-    if achieved > _REL_TOL:
-        raise QuadratureError(achieved=achieved, requested=_REL_TOL)
-    od = geom.k_s * fine.imag
-    phase = geom.k_s * fine.real / 2.0
+    chi_eit, chi_2l = chi(p, ds, shift=np.array([0.0, math.inf])).tolist()
+    inner = (p.gamma_rg - 2j * (p.delta_c + ds)
+             + p.omega_c**2 / (p.gamma_e - 2j * ds))
+    # inner = 0 only where Omega_c^2 = 0 (chi is chi_2L at every shift), and
+    # q = 0 where C6 = 0 or K / inner underflows (chi is chi_EIT)
+    q = -2j * (blk.c6 / HBAR) / inner if inner != 0 else complex(math.inf)
+    if q != 0:
+        blockaded = sum(_blockaded_length(q, side) for side in (z0, length - z0))
+        chi_eit = chi_eit + (chi_2l - chi_eit) * (blockaded / length)
+    od, phase = od_and_phase(chi_eit, geom)
     return float(od), float(phase)
 
 

@@ -3,7 +3,7 @@
 Each error class carries the CLI's exit code and stderr label for it:
 ``rydberg-xpm`` prints ``<label>: <message>`` and exits with ``exit_code``.
 ConfigError is 2, InsufficientStatisticsError 4, and every other
-RydbergXPMError (NoEITFeatureError, QuadratureError, FitNonConvergenceError,
+RydbergXPMError (NoEITFeatureError, FitNonConvergenceError,
 DegenerateJacobianError) a numerical failure, 3.
 """
 
@@ -30,18 +30,6 @@ class ConfigError(RydbergXPMError):
 
 class NoEITFeatureError(RydbergXPMError):
     """No transparency feature exists for the given parameters."""
-
-
-class QuadratureError(RydbergXPMError):
-    """Blockade integral: node-doubling error estimate above the tolerance."""
-
-    def __init__(self, achieved: float, requested: float):
-        self.achieved = achieved
-        self.requested = requested
-        super().__init__(
-            f"quadrature reached relative tolerance {achieved:.3e}, "
-            f"requested {requested:.3e}"
-        )
 
 
 class InsufficientStatisticsError(RydbergXPMError):

@@ -1,9 +1,11 @@
+import cmath
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rydberg_xpm import blockade as blockade_mod
 from rydberg_xpm import defaults
 from rydberg_xpm.blockade import (
     BlockadeParams,
@@ -12,9 +14,12 @@ from rydberg_xpm.blockade import (
     hard_sphere_controlled_phase,
     integrated_phase,
 )
+from rydberg_xpm.config import RunConfig
 from rydberg_xpm.constants import HBAR, angular_from_mhz, c6_from_atomic_units
 from rydberg_xpm.errors import BlockadeClampWarning
 from rydberg_xpm.susceptibility import chi, spectrum, two_level
+
+from conftest import assert_matches_reference, reference_od_phase
 
 DELTA_T = angular_from_mhz(3.7)
 
@@ -184,22 +189,6 @@ class TestIntegratedPhase:
         assert phi1 == pytest.approx(phase_oracle, rel=1e-6)
         assert od1 == pytest.approx(od_oracle, rel=1e-6)
 
-    def test_quadrature_failure_is_structured(
-        self, monkeypatch, params, geom, blk, ds_op
-    ):
-        import rydberg_xpm.blockade as blockade_mod
-        from rydberg_xpm.errors import QuadratureError
-
-        # a 1 % error in the coarse rule's weights puts the node-doubling
-        # estimate far above the requested tolerance
-        monkeypatch.setattr(
-            blockade_mod, "_GL_WEIGHTS", blockade_mod._GL_WEIGHTS * [[1.01], [1.0]]
-        )
-        with pytest.raises(QuadratureError) as err:
-            integrated_phase(params, geom, blk, ds_op, 1)
-        assert err.value.achieved > err.value.requested
-        assert "tolerance" in str(err.value)
-
     def test_sign_reversal_shrinks_controlled_phase(self, params, geom, blk, ds_op):
         _, phi0 = integrated_phase(params, geom, blk, ds_op, 0)
         _, phi1 = integrated_phase(params, geom, blk, ds_op, 1)
@@ -208,6 +197,49 @@ class TestIntegratedPhase:
         _, phi1_r = integrated_phase(params, geom, rev, ds_op, 1)
         assert phi0_r == pytest.approx(-phi0, rel=1e-12)
         assert abs(phi1_r - phi0_r) < abs(phi1 - phi0)
+
+
+# media at the ends of the closed form's range, where a bare sum over the
+# roots of r^6 = -q fails (no interaction, C6 x1e100 and 1e308, no coupling
+# term) or pins the accuracy on each side of a switch to another form
+# (C6 x1e-40 takes the large-side limit, x1e15 and x1e30 the series)
+GUARD_MEDIA = {
+    "no interaction": {"blockade": {"c6_atomic_units": 0.0}},
+    **{f"C6 x{scale:g}": {"blockade": {"c6_atomic_units": defaults.C6_ATOMIC_UNITS * scale}}
+       for scale in (1e-40, 1e15, 1e30, 1e100)},
+    "C6 1e308 au": {"blockade": {"c6_atomic_units": 1e308}},
+    "no coupling at two-photon resonance": {"physics": {
+        "omega_c_mhz": 0.0, "gamma_rg_mhz": 0.0,
+        "delta_c_mhz": -defaults.DELTA_S_OPERATING_MHZ}},
+}
+
+
+class TestClosedFormRange:
+    @pytest.mark.parametrize("sign_reversed", [False, True])
+    @pytest.mark.parametrize("overrides", GUARD_MEDIA.values(), ids=GUARD_MEDIA)
+    def test_matches_reference(self, overrides, sign_reversed):
+        cfg = RunConfig({**overrides, "blockade": {
+            **overrides.get("blockade", {}), "sign_reversed": sign_reversed}})
+        params, geom, blk = cfg.eit_params(), cfg.geometry(), cfg.blockade()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning among others
+            got = integrated_phase(params, geom, blk, cfg.delta_s, 1)
+        want = reference_od_phase(params, geom, blk, cfg.delta_s)
+        assert_matches_reference(got, want, geom, rtol=1e-9)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, -2.0, 3.0, -3.1])
+    @pytest.mark.parametrize("switch, ratio, moved", [("_SERIES_BELOW", 0.0999, 0.09),
+                                                      ("_LIMIT_ABOVE", 1.001e9, 1.1e9)])
+    def test_forms_agree_at_each_switch(self, monkeypatch, switch, ratio, moved,
+                                        theta):
+        # just past a switch in side^6 / |q|, the form taken there and the
+        # root sum give the same integral
+        side = 3e-5
+        q = cmath.rect(side**6 / ratio, theta)
+        past = blockade_mod._blockaded_length(q, side)
+        monkeypatch.setattr(blockade_mod, switch, moved)
+        roots = blockade_mod._blockaded_length(q, side)
+        assert abs(past - roots) <= 2e-14 * abs(roots)
 
 
 class TestHardSphere:
@@ -319,8 +351,6 @@ class TestDensityScan:
     @pytest.mark.parametrize("points", [1, 2, 9, 50])
     def test_two_integrals_for_any_grid(self, monkeypatch, params, geom, blk,
                                         ds_op, points):
-        import rydberg_xpm.blockade as blockade_mod
-
         calls = []
 
         def counting(*args):
@@ -330,17 +360,6 @@ class TestDensityScan:
         monkeypatch.setattr(blockade_mod, "integrated_phase", counting)
         density_scan(params, geom, blk, ds_op, np.linspace(2e17, 1.8e18, points))
         assert sorted(calls) == [0, 1]
-
-    def test_quadrature_failure_propagates(self, monkeypatch, params, geom, blk,
-                                           ds_op):
-        import rydberg_xpm.blockade as blockade_mod
-        from rydberg_xpm.errors import QuadratureError
-
-        monkeypatch.setattr(
-            blockade_mod, "_GL_WEIGHTS", blockade_mod._GL_WEIGHTS * [[1.01], [1.0]]
-        )
-        with pytest.raises(QuadratureError):
-            density_scan(params, geom, blk, ds_op, np.linspace(2e17, 1.8e18, 5))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

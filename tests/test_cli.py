@@ -644,3 +644,16 @@ class TestScipyFree:
         assert codes == {name: 0 for name in (
             "spectrum", "blockade-phase", "density-scan", "tomography", "fit",
             "retrieval")}, proc.stderr
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    """``numpy.polynomial`` (9 modules) is a test-only import.  A fresh
+    interpreter, because the quadrature oracles import it here."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rydberg_xpm.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

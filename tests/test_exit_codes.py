@@ -115,6 +115,18 @@ def run(tmp: Path, command: str, overrides, spectrum: str, extra=()) -> int:
                         "geometry": {"excitation_z_um": 1e-300}}, "-", (0,), ""),
     ("density-scan", {"blockade": {"c6_atomic_units": 0},
                       "geometry": {"excitation_z_um": 1e-300}}, "-", (0,), ""),
+    # the sign-reversed integrand has a Rydberg resonance in r about gamma_rg
+    # wide, which the closed form integrates exactly
+    *[("blockade-phase", {"physics": {"delta_c_mhz": dc}}, "-", (0,), "")
+      for dc in (15, 20, 30)],
+    ("density-scan", {"physics": {"delta_c_mhz": 20}}, "-", (0,), ""),
+    ("density-scan", {"physics": {"delta_c_mhz": 20},
+                      "blockade": {"sign_reversed": True}}, "-", (0,), ""),
+    # side / |q|^(1/6) = 1.7e308 on each side of the excitation: its sixth
+    # power is beyond the float range
+    ("blockade-phase", {"blockade": {"c6_atomic_units": 1e-35},
+                        "geometry": {"length_um": 1e300, "excitation_z_um": 5e299}},
+     "-", (0,), ""),
 ])
 def test_edge_config_exit_code(tmp_path, capsys, command, overrides, spectrum,
                                codes, message):

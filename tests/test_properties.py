@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 
 from rydberg_xpm.blockade import density_scan, integrated_phase
 from rydberg_xpm.config import _TABLE, RunConfig
-from rydberg_xpm.constants import HBAR
 from rydberg_xpm.errors import (
     ExactEITWarning,
     InsufficientStatisticsError,
-    QuadratureError,
     RydbergXPMError,
 )
 from rydberg_xpm.photostatistics import (
@@ -36,7 +34,7 @@ from rydberg_xpm.photostatistics import (
 from rydberg_xpm.polarization import balanced_input_state
 from rydberg_xpm.susceptibility import chi
 
-from conftest import angle_diff
+from conftest import angle_diff, assert_matches_reference, reference_od_phase
 
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
@@ -103,63 +101,27 @@ def test_density_scan_is_the_per_point_integrals(cfg, fractions):
     # equal the integrals evaluated afresh at its own density
     params, geom, blk = built(cfg, "eit_params", "geometry", "blockade")
     rho = np.sort(params.rho * np.array(fractions))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ExactEITWarning)
-            scan = density_scan(params, geom, blk, cfg.delta_s, rho)
-            direct = np.array([
-                [integrated_phase(replace(params, rho=r), geom, blk, cfg.delta_s, n)[1]
-                 for n in (0, 1)] for r in rho]).T
-    except QuadratureError:
-        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactEITWarning)
+        scan = density_scan(params, geom, blk, cfg.delta_s, rho)
+        direct = np.array([
+            [integrated_phase(replace(params, rho=r), geom, blk, cfg.delta_s, n)[1]
+             for n in (0, 1)] for r in rho]).T
     for got, want in ((scan.phase0, direct[0]), (scan.phase1, direct[1])):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
                                    equal_nan=False)
 
 
-def reference_integral(params, blk, delta_s, side: float) -> complex:
-    """The integral of chi over r in [0, side] on one side of the stored
-    excitation, shift C6 / (hbar r^6): composite Gauss-Legendre on one
-    panel out to side 1e-30 and ten geometric panels per decade beyond,
-    with the nodes per panel doubled from 16 until two results agree to
-    1e-10 relative."""
-    edges = np.concatenate(([0.0], side * np.geomspace(1e-30, 1.0, 301)))
-    a, half = edges[:-1, None], np.diff(edges)[:, None] / 2.0
-    previous = None
-    for nodes in (16, 32, 64, 128, 256, 512):
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        r = a + half * (1.0 + x)
-        with np.errstate(divide="ignore", over="ignore"):
-            shift = blk.c6 / (HBAR * r**6) if blk.c6 > 0.0 else np.zeros_like(r)
-        total = complex(np.sum(half * chi(params, delta_s, shift=shift) @ w))
-        if previous is not None and abs(total - previous) <= 1e-10 * abs(total):
-            return total
-        previous = total
-    raise AssertionError(f"the reference did not converge: {previous}")
-
-
 @PROPERTY
 @given(cfg=medium_configs())
 def test_blockade_integral_matches_the_reference(cfg):
-    # the n = 1 integral on its panels against a finer, node-doubled
-    # reference on panels of its own, to the integral's 1e-6 tolerance
+    # the closed-form n = 1 integral against a node-doubled quadrature
     params, geom, blk = built(cfg, "eit_params", "geometry", "blockade")
-    ds, flipped = cfg.delta_s, params
-    if blk.sign_reversed:  # both detunings flip (BlockadeParams)
-        ds, flipped = -ds, replace(params, delta_c=-params.delta_c)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ExactEITWarning)
-            od, phase = integrated_phase(params, geom, blk, cfg.delta_s, 1)
-            total = sum(reference_integral(flipped, blk, ds, side)
-                        for side in (blk.excitation_z, geom.length - blk.excitation_z)
-                        if side > 0.0)
-    except QuadratureError:
-        assume(False)
-    floor = 1e-12 * geom.k_s * geom.length  # the integral's own, for a small part
-    for got, want in ((od, geom.k_s * total.imag),
-                      (phase, geom.k_s * total.real / 2.0)):
-        assert abs(got - want) <= 1e-6 * max(abs(want), floor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactEITWarning)
+        got = integrated_phase(params, geom, blk, cfg.delta_s, 1)
+        want = reference_od_phase(params, geom, blk, cfg.delta_s)
+    assert_matches_reference(got, want, geom, rtol=1e-6)
 
 
 STATISTICS = ("mean_photons_control", "mean_photons_target", "detection_efficiency",
