@@ -15,9 +15,9 @@ axis: r = |z - z0| with z0 the position of the stored excitation.
 The controlled phase shift is the difference between the propagation phase
 with and without a stored excitation.  The phase with one excitation is the
 integral of the shifted susceptibility along the axis, in closed form (chi
-is a Moebius function of the shift, see ``integrated_phase``); a
-hard-sphere estimate replaces the gradual r^-6 crossover with a fully
-blockaded slab of length 2 R_b.
+is a Moebius function of the shift with the pole ``shift_pole``, see
+``integrated_phase``); a hard-sphere estimate replaces the gradual r^-6
+crossover with a fully blockaded slab of length 2 R_b.
 
 The susceptibility is proportional to the atomic density at every shift
 (through chi0; nothing else in chi depends on rho), so both phases are
@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import BlockadeClampWarning
-from .susceptibility import EITParams, MediumGeometry, chi, od_and_phase
+from .susceptibility import EITParams, MediumGeometry, chi, od_and_phase, shift_pole
 
 # _blockaded_length sums a series below this side^6 / |q| (to 1e-14 with
 # _SERIES_TERMS terms) and takes the large-side limit above _LIMIT_ABOVE
@@ -109,11 +109,10 @@ def integrated_phase(
     excitations.
 
     n = 0 is the uniform medium.  n = 1 integrates the blockade-shifted
-    susceptibility chi(shift = C6/(hbar r^6)) along the axis, r = |z - z0|,
-    in closed form: with a = Gamma_e - 2i Delta_s and K = C6/hbar,
+    susceptibility chi(shift = K / r^6), K = C6/hbar, along the axis,
+    r = |z - z0|, in closed form: with chi's pole s_p = ``shift_pole``,
 
-        chi(r) = chi_EIT + (chi_2L - chi_EIT) q / (r^6 + q),
-        q = -2i K / (gamma_rg - 2i (Delta_c + Delta_s) + Omega_c^2 / a),
+        chi(r) = chi_EIT + (chi_2L - chi_EIT) q / (r^6 + q),  q = -K / s_p,
 
     between chi at no shift and at an infinite one (the two-level value).
     """
@@ -133,11 +132,10 @@ def integrated_phase(
             f"excitation_z = {z0} must lie within the medium [0, {length}]"
         )
     chi_eit, chi_2l = chi(p, ds, shift=np.array([0.0, math.inf])).tolist()
-    inner = (p.gamma_rg - 2j * (p.delta_c + ds)
-             + p.omega_c**2 / (p.gamma_e - 2j * ds))
-    # inner = 0 only where Omega_c^2 = 0 (chi is chi_2L at every shift), and
-    # q = 0 where C6 = 0 or K / inner underflows (chi is chi_EIT)
-    q = -2j * (blk.c6 / HBAR) / inner if inner != 0 else complex(math.inf)
+    s_p = shift_pole(p, ds)
+    # s_p = 0 where chi is chi_2L at every shift, and q = 0 where C6 = 0 or
+    # K / s_p underflows (chi is chi_EIT)
+    q = -(blk.c6 / HBAR) / s_p if s_p != 0 else complex(math.inf)
     if q != 0:
         blockaded = sum(_blockaded_length(q, side) for side in (z0, length - z0))
         chi_eit = chi_eit + (chi_2l - chi_eit) * (blockaded / length)

@@ -2,9 +2,10 @@
 spectra to the ladder-EIT model.
 
 A spectrum measures the susceptibility only in optical-depth units: the model
-is od_res chi / chi0, with od_res = k_s L chi0 the resonant two-level optical
-depth, so transmission exp(-od_res Im(chi / chi0)) and phase
-od_res Re(chi / chi0) / 2.  Density, dipole moment and length cancel.  The
+is od_res x, with x = chi / chi0 = i Gamma_e / D the normalized response
+(``susceptibility.normalized_chi``) and od_res = k_s L chi0 the resonant
+two-level optical depth, so transmission exp(-od_res Im(x)) and phase
+od_res Re(x) / 2.  Density, dipole moment and length never enter.  The
 free parameters are od_res, the coupling Rabi frequency, the ground-Rydberg
 dephasing rate and the coupling detuning offset.  Positive-definite
 parameters are fitted in log space so bounds stay implicit; the detuning is
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import defaults
 from .errors import DegenerateJacobianError, FitNonConvergenceError, RydbergXPMError
-from .susceptibility import EITParams, SpectrumTable, chi, chi0, transmission
+from .susceptibility import SpectrumTable, normalized_chi, transmission
 
 # rad/s, intermediate-state decay rate
 GAMMA_E_DEFAULT = 1.0 / (defaults.EXCITED_LIFETIME_NS * 1e-9)
@@ -35,11 +36,6 @@ _GRAD_TOL = 1e-8
 _FD_SCALE = 1e-6
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
-# density [1/m^3] and dipole moment [C m] of the model's reference medium:
-# they cancel in chi / chi0, and keep chi0 finite and nonzero for every
-# finite gamma_e above about 5e-279 rad/s, where eps0 hbar gamma_e underflows
-_RHO_REF = 1e18
-_D_EG_REF = 1e-29
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,8 @@ def predict(
 ) -> SpectrumTable:
     """Forward model spectrum: transmission exp(-od_res Im(chi / chi0)) and
     phase od_res Re(chi / chi0) / 2 of the susceptibility at ``params``."""
-    eit = EITParams(gamma_e=gamma_e, gamma_rg=params.gamma_rg, omega_c=params.omega_c,
-                    delta_c=params.delta_c, rho=_RHO_REF, d_eg=_D_EG_REF)
-    x = params.od_res * (chi(eit, delta_s_grid) / chi0(eit))
+    x = params.od_res * normalized_chi(gamma_e, params.gamma_rg, params.omega_c,
+                                       params.delta_c, delta_s_grid)
     return SpectrumTable(transmission=transmission(x.imag), phase=x.real / 2.0)
 
 
@@ -114,12 +109,12 @@ def _encode(p: FitParameters, gamma_e: float) -> np.ndarray:
 
 
 def _decode(u: np.ndarray, gamma_e: float) -> FitParameters:
-    return FitParameters(
-        od_res=math.exp(u[0]),
-        omega_c=math.exp(u[1]),
-        gamma_rg=math.exp(u[2]),
-        delta_c=u[3] * gamma_e,
-    )
+    p = FitParameters(math.exp(u[0]), math.exp(u[1]), math.exp(u[2]),
+                      u[3] * gamma_e)
+    # an infinite start or step, or u[3] * gamma_e beyond the float range
+    if not np.all(np.isfinite(p.as_array())):
+        raise OverflowError("a fit parameter is not finite")
+    return p
 
 
 def finite_difference_jacobian(fun, u: np.ndarray) -> np.ndarray:
@@ -160,10 +155,9 @@ def fit_spectrum(
     def residuals(u: np.ndarray) -> np.ndarray:
         try:
             table = predict(_decode(u, gamma_e), data.delta_s, gamma_e=gamma_e)
-        except (OverflowError, ValueError):
-            # a parameter overflows or breaks an EITParams invariant: an
-            # infinite cost, which a step is rejected for like any non-finite
-            # one
+        except OverflowError:
+            # a parameter, or omega_c squared, overflows: an infinite cost, which
+            # a step is rejected for like any non-finite one
             return np.full(n_res, math.inf)
         r = (table.transmission - t_data) / t_sigma
         if include_phase:

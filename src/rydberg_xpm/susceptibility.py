@@ -1,15 +1,17 @@
 """Complex EIT susceptibility for a ladder scheme, and propagation to
 optical depth and phase.
 
-The medium response to the signal field is
+The medium response to the signal field is chi = i chi0 Gamma_e / D, with
 
-    chi = i chi0 Gamma_e / (Gamma_e - 2i Delta_s
-                            + |Omega_c|^2 / (gamma_rg - 2i (Delta_c + Delta_s)))
+    D = Gamma_e - 2i Delta_s + |Omega_c|^2 / (gamma_rg - 2i (Delta_c + Delta_s + s)),
 
-with chi0 = 2 rho |d_eg|^2 / (epsilon0 hbar Gamma_e) the peak two-level value.
-Setting Omega_c = 0 recovers the two-level Lorentzian.  Propagating through a
-homogeneous medium of length L gives an optical depth OD = k_s L Im(chi) and a
-phase shift phi = k_s L Re(chi) / 2; the intensity transmission is exp(-OD).
+chi0 = 2 rho |d_eg|^2 / (epsilon0 hbar Gamma_e) the peak two-level value and
+s the pair-state shift of a stored Rydberg excitation.  D is written out here
+only: under ``chi`` and the fit's chi / chi0, and in chi's pole in s.
+Omega_c = 0 or s = inf recovers the two-level Lorentzian.  Propagating
+through a homogeneous medium of length L gives an optical depth
+OD = k_s L Im(chi) and a phase shift phi = k_s L Re(chi) / 2; the intensity
+transmission is exp(-OD).
 
 Sign conventions: Im(chi) >= 0 is absorption (passive medium); positive
 detunings are blue.  The medium is treated as axially homogeneous (box-like
@@ -113,6 +115,27 @@ def chi0(params: EITParams) -> float:
     return 2.0 * params.rho * params.d_eg**2 / (EPSILON_0 * HBAR * params.gamma_e)
 
 
+def _denominator(gamma_e, gamma_rg, omega_c, delta_c, delta_s, shift=0.0):
+    """chi's denominator D at detuning(s) ``delta_s``, broadcast against
+    ``shift``.  An infinite shift (r^6 underflowing to 0 included) or no
+    coupling beam removes the coupling term.  At an exact lossless EIT point
+    (gamma_rg = 0 and Delta_c + Delta_s + shift = 0 with Omega_c > 0), or
+    where the coupling term overflows, D is infinite (chi = 0), flagged with
+    :class:`ExactEITWarning`."""
+    ds = np.asarray(delta_s, dtype=float)
+    with np.errstate(all="ignore"):
+        two_photon = delta_c + shift + ds
+        off = np.isinf(two_photon) | (omega_c == 0.0)
+        coupling = omega_c**2 / np.where(off, 1.0, gamma_rg - 2j * two_photon)
+        exact = ~(off | np.isfinite(coupling))
+        den = gamma_e - 2j * ds + np.where(off, 0.0, np.where(exact, np.inf, coupling))
+    if np.any(exact):
+        warnings.warn("susceptibility evaluated at an exact lossless EIT point; "
+                      "returning the analytic limit chi = 0", ExactEITWarning,
+                      stacklevel=3)
+    return den
+
+
 def chi(params: EITParams, delta_s, shift=0.0):
     """Evaluate the susceptibility at signal detuning(s) ``delta_s`` [rad/s].
 
@@ -120,45 +143,29 @@ def chi(params: EITParams, delta_s, shift=0.0):
     Rydberg excitation at distance r.  It moves the two-photon resonance,
     Delta_c + Delta_s -> Delta_c + Delta_s + shift, and broadcasts against
     ``delta_s``.  Scalars give a complex scalar, arrays a matching array.
-
-    An infinite shift (r^6 underflowing to 0 included) removes the coupling
-    term and gives the two-level value.  At an exact lossless EIT point
-    (gamma_rg = 0 and Delta_c + Delta_s + shift = 0 with Omega_c > 0) the
-    inner fraction diverges and the analytic limit chi = 0 is returned,
-    flagged with :class:`ExactEITWarning`.
+    The limits are those of ``_denominator``.
     """
     scalar = np.isscalar(delta_s) and np.isscalar(shift)
-    ds = np.asarray(delta_s, dtype=float)
-    x0 = chi0(params)
-    if params.omega_c == 0.0:
-        if np.ndim(shift):
-            ds = np.broadcast_to(ds, np.broadcast_shapes(ds.shape, np.shape(shift)))
-        den = params.gamma_e - 2j * ds
-        out = 1j * x0 * params.gamma_e / den
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            two_photon = params.delta_c + shift + ds
-            # an infinite shift takes the Rydberg level out of resonance
-            blockaded = np.isinf(two_photon)
-            inner = params.gamma_rg - 2j * two_photon
-            exact = inner == 0
-            inner = np.where(exact | blockaded, 1.0, inner)  # placeholder, masked below
-            coupling = params.omega_c**2 / inner
-            # an inner term so small the fraction overflows is numerically an
-            # exact transparency point as well; chi -> 0 in that limit
-            exact |= ~np.isfinite(coupling)
-            coupling = np.where(exact | blockaded, 0.0, coupling)
-            den = params.gamma_e - 2j * ds + coupling
-            out = 1j * x0 * params.gamma_e / den
-        if np.any(exact):
-            warnings.warn(
-                "susceptibility evaluated at an exact lossless EIT point; "
-                "returning the analytic limit chi = 0",
-                ExactEITWarning,
-                stacklevel=2,
-            )
-            out = np.where(exact, 0.0 + 0.0j, out)
+    den = _denominator(params.gamma_e, params.gamma_rg, params.omega_c,
+                       params.delta_c, delta_s, shift)
+    with np.errstate(invalid="ignore"):  # chi0 Gamma_e overflowing: NaN
+        out = 1j * chi0(params) * params.gamma_e / den
     return complex(out[()]) if scalar else out
+
+
+def normalized_chi(gamma_e, gamma_rg, omega_c, delta_c, delta_s) -> np.ndarray:
+    """chi / chi0 = i Gamma_e / D at detuning(s) ``delta_s`` [rad/s], with
+    chi's limits and no density or dipole moment; all rates angular."""
+    return 1j * gamma_e / _denominator(gamma_e, gamma_rg, omega_c, delta_c, delta_s)
+
+
+def shift_pole(params: EITParams, delta_s: float) -> complex:
+    """The shift s_p [rad/s] where D vanishes at detuning ``delta_s``, 0 only
+    where Omega_c^2 / (Gamma_e - 2i Delta_s) does; chi is a Moebius function of s:
+
+        chi(s) = chi(inf) + (chi(0) - chi(inf)) s_p / (s_p - s)."""
+    return (params.gamma_rg - 2j * (params.delta_c + delta_s)
+            + params.omega_c**2 / (params.gamma_e - 2j * delta_s)) / 2j
 
 
 def two_level(params: EITParams) -> EITParams:
@@ -198,9 +205,9 @@ def spectrum(params: EITParams, geom: MediumGeometry, delta_s_grid) -> SpectrumT
 
 def _feature_height(params: EITParams, geom: MediumGeometry, ds):
     """Transmission height of the EIT feature above the two-level background
-    at detuning(s) ``ds``."""
-    t_eit = transmission(od_and_phase(chi(params, ds), geom)[0])
-    t_bg = transmission(od_and_phase(chi(two_level(params), ds), geom)[0])
+    at detuning(s) ``ds``: one chi call, at shifts 0 and infinity."""
+    shift = np.array([0.0, math.inf]).reshape((2,) + (1,) * np.ndim(ds))
+    t_eit, t_bg = transmission(od_and_phase(chi(params, ds, shift), geom)[0])
     return t_eit - t_bg
 
 

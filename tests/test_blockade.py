@@ -159,7 +159,7 @@ class TestIntegratedPhase:
         self, params, geom, blk, ds_op, c6_scale, sign_reversed
     ):
         # oracle: re-derived vectorized integrand + composite Simpson on each
-        # side of the cusp, fully independent of the Gauss-Legendre path
+        # side of the cusp, independent of chi and of the closed form
         from scipy.integrate import simpson
 
         blk = replace(blk, c6=blk.c6 * c6_scale, sign_reversed=sign_reversed)

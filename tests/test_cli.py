@@ -647,13 +647,17 @@ class TestScipyFree:
 
 
 def test_cli_import_loads_no_numpy_polynomial():
-    """``numpy.polynomial`` (9 modules) is a test-only import.  A fresh
-    interpreter, because the quadrature oracles import it here."""
+    """``numpy.polynomial`` (9 modules) is a test-only import, and the
+    import loads at most 231 modules in all.  A fresh interpreter, because
+    the quadrature oracles import it here."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, rydberg_xpm.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"],
+         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))); "
+         "print(len(sys.modules))"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    polynomial, modules = proc.stdout.split()
+    assert polynomial == "[]"
+    assert int(modules) <= 231

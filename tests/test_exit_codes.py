@@ -110,6 +110,9 @@ def run(tmp: Path, command: str, overrides, spectrum: str, extra=()) -> int:
     ("fit", {"physics": {"excited_lifetime_ns": 1e-300}}, "model", (3,),
      "numerical failure: the spectrum model cannot be evaluated at the "
      "fit's starting point"),
+    # gamma_e = 1e-291 rad/s: the normal equations of the fit are singular
+    ("fit", {"physics": {"excited_lifetime_ns": 1e300}}, "model", (3,),
+     "numerical failure"),
     # no interaction where r^6 underflows: a zero shift, not 0 / 0
     ("blockade-phase", {"blockade": {"c6_atomic_units": 0},
                         "geometry": {"excitation_z_um": 1e-300}}, "-", (0,), ""),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ class TestFitRecovery:
             with pytest.raises(RydbergXPMError, match="cannot be evaluated at "
                                "the fit's starting point"):
                 fit_spectrum(synthetic_data(), TRUTH, gamma_e=gamma_e)
+
+    @pytest.mark.parametrize("name", ["od_res", "omega_c", "gamma_rg", "delta_c"])
+    def test_non_finite_start_rejected(self, name):
+        # an infinite parameter is an infinite cost, not a limit of the model
+        # (omega_c = inf would read as an exact transparency point)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RydbergXPMError, match="cannot be evaluated at "
+                               "the fit's starting point"):
+                fit_spectrum(synthetic_data(), replace(TRUTH, **{name: math.inf}))
 
 
 class TestFitInvariants:

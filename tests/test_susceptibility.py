@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydberg_xpm import defaults
+from rydberg_xpm import defaults, susceptibility
 from rydberg_xpm.constants import angular_from_mhz, mhz_from_angular
 from rydberg_xpm.errors import ConfigError, ExactEITWarning, NoEITFeatureError
 from rydberg_xpm.susceptibility import (
@@ -14,7 +14,9 @@ from rydberg_xpm.susceptibility import (
     MediumGeometry,
     chi,
     chi0,
+    normalized_chi,
     od_and_phase,
+    shift_pole,
     spectrum,
     transmission,
     transmission_fwhm,
@@ -82,6 +84,7 @@ class TestChi:
                 reference_chi(params, ds), rel=1e-13
             )
 
+    @settings(max_examples=100, derandomize=True)
     @given(ds_mhz=st.floats(-100, 100, allow_nan=False))
     def test_two_level_reduction(self, ds_mhz):
         params = two_level(defaults.eit_params())
@@ -89,7 +92,7 @@ class TestChi:
         expected = 1j * chi0(params) * params.gamma_e / (params.gamma_e - 2j * ds)
         assert chi(params, ds) == pytest.approx(expected, rel=1e-14)
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, derandomize=True)
     @given(
         ds_mhz=st.floats(-100, 100, allow_nan=False),
         dc_mhz=st.floats(-100, 100, allow_nan=False),
@@ -127,6 +130,39 @@ class TestChi:
         vec = chi(params, grid)
         for i, ds in enumerate(grid):
             assert vec[i] == chi(params, float(ds))
+
+    def test_no_coupling_at_two_photon_resonance_is_two_level(self, params):
+        # omega_c = 0 removes the coupling term even where its denominator
+        # gamma_rg - 2i (Delta_c + Delta_s) vanishes: no exact EIT point
+        p = replace(params, omega_c=0.0, gamma_rg=0.0)
+        ds = -p.delta_c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ExactEITWarning)
+            value = chi(p, ds)
+        expected = 1j * chi0(p) * p.gamma_e / (p.gamma_e - 2j * ds)
+        assert value == pytest.approx(expected, rel=1e-15)
+
+    def test_normalized_chi_is_chi_over_chi0(self, params):
+        grid = angular_from_mhz(1.0) * np.linspace(-40.0, 40.0, 161)
+        x = normalized_chi(params.gamma_e, params.gamma_rg, params.omega_c,
+                           params.delta_c, grid)
+        np.testing.assert_allclose(x, chi(params, grid) / chi0(params),
+                                   rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("ds_mhz", [-12.0, -10.0, -3.3, 0.7, 18.0])
+    def test_moebius_form_in_the_shift(self, params, ds_mhz):
+        # chi(s) = chi(inf) + (chi(0) - chi(inf)) s_p / (s_p - s), at shifts
+        # of both signs, out to 1e3 gamma_e and within 1e-6 relative of Re(s_p)
+        ds = angular_from_mhz(ds_mhz)
+        s_p = shift_pole(params, ds)
+        shifts = np.concatenate((
+            s_p.real * np.array([1.0 - 1e-6, 1.0 + 1e-6]),
+            params.gamma_e * np.array([-1e3, -10.0, -1.0, -0.1, 0.1, 1.0, 10.0, 1e3]),
+        ))
+        chi_0, chi_inf = chi(params, ds, shift=np.array([0.0, np.inf]))
+        moebius = chi_inf + (chi_0 - chi_inf) * s_p / (s_p - shifts)
+        np.testing.assert_allclose(moebius, chi(params, ds, shift=shifts),
+                                   rtol=1e-13, atol=0.0)
 
 
 class TestPropagation:
@@ -231,6 +267,19 @@ class TestTransmissionFWHM:
     def test_default_parameters_reproduce_measured_width(self, params, geom):
         width_mhz = mhz_from_angular(transmission_fwhm(params, geom))
         assert width_mhz == pytest.approx(3.7, rel=0.02)
+
+    def test_default_search_makes_at_most_72_chi_calls(self, params, geom,
+                                                        monkeypatch):
+        # one chi call per feature height, at shifts 0 and infinity
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return chi(*args, **kwargs)
+
+        monkeypatch.setattr(susceptibility, "chi", counted)
+        transmission_fwhm(params, geom)
+        assert len(calls) <= 72
 
     def test_default_width_matches_calibration_target(self, params, geom):
         # OMEGA_C_MHZ was solved for FEATURE_FWHM_MHZ; the width at the
