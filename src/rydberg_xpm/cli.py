@@ -210,7 +210,11 @@ def cmd_density_scan(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
 
 def cmd_tomography(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     media = _integrals(cfg, cfg.blockade().sign_reversed)
-    od0, phi0, od1, phi1 = (media[k] for k in ("od0", "phi0_rad", "od1", "phi1_rad"))
+    names = ("od0", "phi0_rad", "od1", "phi1_rad")
+    od0, phi0, od1, phi1 = (media[k] for k in names)
+    bad = [f"{k}={media[k]}" for k in names if not math.isfinite(media[k])]
+    if bad:
+        raise RydbergXPMError(f"the medium response is not finite: {', '.join(bad)}")
     exp_cfg = cfg.experiment()
     input_state = balanced_input_state(od1)
     summary = tally_stokes(exp_cfg, (od0, phi0, od1, phi1), input_state,

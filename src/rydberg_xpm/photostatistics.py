@@ -11,9 +11,10 @@ mean <n_t> times the detection efficiency times its power from
 delay-dependent retrieval probability, and analysis may postselect on
 retrieval.  This module only samples those powers and estimates from counts.
 
-Randomness is counter-based: shot i consumes exactly two Philox counter
-blocks (eight 64-bit words) keyed by the seed, so any batch, chunked or
-parallel evaluation order yields bit-identical shots; a single shot i is
+The per-shot model ``simulate_batch`` is counter-based: shot i consumes
+exactly two Philox counter blocks (eight 64-bit words) keyed by the seed,
+so any batch, chunked or parallel evaluation order yields bit-identical
+shots; a single shot i is
 ``simulate_batch(..., start_index=i, n=1)``.  Word w of a shot gives the
 53-bit integer m = w >> 11, whose uniform is u = m 2^-53 exactly, so the
 kernel never forms u: ``u < p`` is tested as ``m < ceil(p 2^53)``, and a
@@ -42,15 +43,30 @@ thread would add its stack and a second block's temporaries for less than a
 block of work.  The thresholds and tables are built once per call and only
 read by the threads.
 
-``tally_stokes`` runs ``simulate_batch`` over CHUNK_SHOTS-shot chunks and
-keeps only the per-basis count sums, so its memory does not grow with the
-number of repetitions; each chunk is split over the threads as above.
+``tally_stokes``, which ``rydberg-xpm tomography`` runs, simulates no
+shots: the estimate reads only, per basis b, the shots N_b, the stored
+shots S_b, the retrieved shots R_b and the two port count sums, and it
+draws those from their exact joint law.  Round-robin bases give
+N_b = N // 3 + (b < N % 3); random bases are multinomial with equal
+thirds, drawn as N_0 ~ Bin(N, 1/3), then N_1 ~ Bin(N - N_0, 1/2).  Then
+S_b ~ Bin(N_b, p_stored) and R_b ~ Bin(S_b, p_retrieve(delay)), and each
+port's count sum is Poisson, with mean R_b lam(b, stored) under
+postselection and S_b lam(b, stored) + (N_b - S_b) lam(b, unstored)
+without it (a sum of independent Poisson counts is Poisson with the summed
+mean).  The draw order is fixed: N_0 and N_1 for random bases, then per
+basis HV, DA, LR in turn S_b, R_b (under postselection only), the port-k
+sum and the port-l sum.  The generator is ``random.Random(rng_seed)``, read
+only through ``random()``, whose sequence Python keeps for an integer
+seed, and the samplers of ``variates`` are exact and take O(1) expected
+time, so a tally's time and memory do not depend on the number of
+repetitions.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import random
 import threading
 from dataclasses import dataclass
 
@@ -65,7 +81,6 @@ _MANTISSA = 2**53  # (raw >> 11) / 2^53 maps uint64 -> [0, 1)
 # thresholds reach 2^53, so the group number of a table key sits above bit 53
 _GROUP_SHIFT = np.uint64(54)
 _BLOCKS_PER_SHOT = 2  # 8 uniforms per shot
-CHUNK_SHOTS = 2**18  # shots per simulate_batch call of tally_stokes
 # simulate_batch fills its shots _BLOCK_SHOTS at a time on at most
 # _MAX_WORKERS threads, each given whole blocks, and _basis_sums bins in
 # slices of the same size.  A block's 512 KB of Philox words is reused from
@@ -432,10 +447,9 @@ def _basis_sums(batch: ShotBatch, postselect: bool) -> tuple[np.ndarray, int]:
     return sums.astype(np.int64), int(n_kept)
 
 
-def _summarize_counts(
-    sums: np.ndarray, n_postselected: int, n_total: int
-) -> CountSummary:
-    """Normalized Stokes parameters from summed per-basis counts.
+def _summarize_counts(sums, n_postselected: int, n_total: int) -> CountSummary:
+    """Normalized Stokes parameters from the summed (port k, port l) counts
+    of each basis, as integers.
 
     Standard errors come from binomial propagation of the port-splitting
     fraction: sigma_S = 2 sqrt(ab) / (a+b)^(3/2) for summed counts (a, b).
@@ -444,7 +458,7 @@ def _summarize_counts(
     components = []
     errors = []
     counts = {}
-    for name, (a, c) in zip(BASIS_NAMES, sums.tolist()):
+    for name, (a, c) in zip(BASIS_NAMES, sums):
         counts[name] = (a, c)
         tot = a + c
         if tot == 0:
@@ -465,21 +479,56 @@ def estimate_stokes(batch: ShotBatch, postselect: bool) -> CountSummary:
     """Normalized Stokes parameters, with standard errors, from the summed
     per-basis counts of one batch, after postselection on retrieval if
     ``postselect`` (see ``_summarize_counts``)."""
-    return _summarize_counts(*_basis_sums(batch, postselect), len(batch))
+    sums, n_kept = _basis_sums(batch, postselect)
+    return _summarize_counts(sums.tolist(), n_kept, len(batch))
 
 
 def tally_stokes(
     config: ExperimentConfig, truth, input_state: PolarizationState, postselect: bool
 ) -> CountSummary:
-    """``estimate_stokes`` of all ``config.repetitions`` shots, simulated
-    CHUNK_SHOTS at a time so that memory does not grow with the count."""
-    sums = np.zeros((len(BASIS_NAMES), 2), dtype=np.int64)
+    """``estimate_stokes`` of ``config.repetitions`` shots, in law: the
+    per-basis sufficient statistics are drawn from their exact joint law
+    (see ``_tally_sums``), and no shot is simulated."""
+    return _summarize_counts(*_tally_sums(config, truth, input_state, postselect),
+                             config.repetitions)
+
+
+def _tally_sums(
+    config: ExperimentConfig, truth, input_state: PolarizationState, postselect: bool
+) -> tuple[list[list[int]], int]:
+    """What ``_basis_sums`` gives for ``config.repetitions`` shots, drawn
+    from its law in the order the module docstring gives."""
+    # the samplers are imported on first use, so that no other subcommand
+    # loads or compiles them
+    from .variates import binomial, poisson
+
+    rng = random.Random(config.rng_seed)
+    n = config.repetitions
+    p_stored = 1.0 - math.exp(-config.mean_photons_control * config.p_store)
+    p_retrieved = config.p_retrieve(config.delay)
+    lams = _port_lambdas(config, truth, input_state)
+    sums = []
     n_kept = 0
-    for start in range(0, config.repetitions, CHUNK_SHOTS):
-        n = min(CHUNK_SHOTS, config.repetitions - start)
-        chunk_sums, chunk_kept = _basis_sums(
-            simulate_batch(config, truth, input_state, start, n), postselect
-        )
-        sums += chunk_sums
-        n_kept += chunk_kept
-    return _summarize_counts(sums, n_kept, config.repetitions)
+    for b, n_b in enumerate(_basis_shots(rng, n, config.basis_mode == "round_robin")):
+        stored = binomial(rng, n_b, p_stored)
+        if postselect:
+            retrieved = binomial(rng, stored, p_retrieved)
+            n_kept += retrieved
+            means = [retrieved * lam for lam in lams[b + 3]]
+        else:
+            means = [stored * lam1 + (n_b - stored) * lam0
+                     for lam0, lam1 in zip(lams[b], lams[b + 3])]
+        sums.append([poisson(rng, mean) for mean in means])
+    return sums, n_kept if postselect else n
+
+
+def _basis_shots(rng: random.Random, n: int, round_robin: bool) -> list[int]:
+    """The shots measured in each basis: the round-robin split of n, or a
+    multinomial draw with equal thirds."""
+    from .variates import binomial
+
+    if round_robin:
+        return [n // 3 + (b < n % 3) for b in range(3)]
+    n_0 = binomial(rng, n, 1.0 / 3.0)
+    n_1 = binomial(rng, n - n_0, 0.5)
+    return [n_0, n_1, n - n_0 - n_1]

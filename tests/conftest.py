@@ -7,6 +7,11 @@ from rydberg_xpm.config import RunConfig
 from rydberg_xpm.constants import HBAR
 from rydberg_xpm.susceptibility import chi
 
+# A goodness-of-fit or two-sample test of a sampler runs on fixed seeds and
+# fails below this p-value: a correct sampler fails one comparison with this
+# probability.
+FALSE_ALARM = 1e-4
+
 
 @pytest.fixture
 def params():

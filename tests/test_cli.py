@@ -279,31 +279,32 @@ class TestTomographyCommand:
 
     @pytest.mark.parametrize("seed_args,expected", [
         ([], {
-            "counts": {"DA": [171, 33], "HV": [89, 99], "LR": [88, 98]},
-            "n_postselected": 6335,
-            "stokes_estimate": {"s_da": 0.6764705882352942,
-                                "s_hv": -0.05319148936170213,
-                                "s_lr": -0.053763440860215055},
-            "stokes_stderr": {"s_da": 0.05156318906860287,
-                              "s_hv": 0.072829247451549,
-                              "s_lr": 0.07321750967306324},
-            "azimuth_rad": 1.6492657691289383,
+            "counts": {"DA": [168, 27], "HV": [103, 79], "LR": [87, 95]},
+            "n_postselected": 6372,
+            "stokes_estimate": {"s_da": 0.7230769230769231,
+                                "s_hv": 0.13186813186813187,
+                                "s_lr": -0.04395604395604396},
+            "stokes_stderr": {"s_da": 0.049466889382676946,
+                              "s_hv": 0.0734776184730451,
+                              "s_lr": 0.07405328739984346},
+            "azimuth_rad": 1.3904079246731182,
         }),
         (["--seed", "7"], {
-            "counts": {"DA": [170, 27], "HV": [97, 121], "LR": [91, 85]},
-            "n_postselected": 6300,
-            "stokes_estimate": {"s_da": 0.7258883248730964,
-                                "s_hv": -0.11009174311926606,
-                                "s_lr": 0.03409090909090909},
-            "stokes_stderr": {"s_da": 0.0490046169902393,
-                              "s_hv": 0.0673168534078826,
-                              "s_lr": 0.0753340217237596},
-            "azimuth_rad": 1.721314089496943,
+            "counts": {"DA": [146, 25], "HV": [101, 72], "LR": [86, 92]},
+            "n_postselected": 6307,
+            "stokes_estimate": {"s_da": 0.7076023391812866,
+                                "s_hv": 0.1676300578034682,
+                                "s_lr": -0.033707865168539325},
+            "stokes_stderr": {"s_da": 0.05403588419929698,
+                              "s_hv": 0.07495278528185292,
+                              "s_lr": 0.07491057514586412},
+            "azimuth_rad": 1.3381858189818372,
         }),
     ])
     def test_default_counts_are_frozen(self, tmp_path, seed_args, expected):
-        """The shots of the built-in config, as first simulated, stay the
-        same shots: the counts and the estimate are exact."""
+        """The tally of the built-in config, as first drawn from the law of
+        its sufficient statistics, stays the same: the counts and the
+        estimate are exact."""
         code = main(["tomography", "--output-dir", str(tmp_path)] + seed_args)
         assert code == 0
         out = read_json(tmp_path / "tomography.json")
@@ -661,3 +662,21 @@ def test_cli_import_loads_no_numpy_polynomial():
     polynomial, modules = proc.stdout.split()
     assert polynomial == "[]"
     assert int(modules) <= 231
+
+
+def test_tomography_loads_no_numpy_random(tmp_path):
+    """The tally draws from ``random``, which ``import rydberg_xpm.cli``
+    already loads: ``tomography`` adds neither ``numpy.random`` (19
+    modules) nor a thread.  A fresh interpreter, because other tests load
+    ``numpy.random`` here."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, threading, rydberg_xpm.cli as c; "
+         "assert 'random' in sys.modules; "
+         "assert c.main(['tomography', '--output-dir', sys.argv[1]]) == 0; "
+         "print('numpy.random' in sys.modules, threading.active_count())",
+         str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.split() == ["False", "1"]

@@ -94,6 +94,10 @@ def run(tmp: Path, command: str, overrides, spectrum: str, extra=()) -> int:
      "config error: fit.include_phase: "),
     ("tomography", {"geometry": {"length_um": 1e300}}, "-", (4,),
      "insufficient statistics: no photon reaches a detector"),
+    # chi0 is finite, but chi0 gamma_e overflows: the medium response is
+    # not finite, and no input state is built from it
+    ("tomography", {"physics": {"density_cm3": 1e297, "dipole_moment_cm": 1e-20}},
+     "-", (3,), "numerical failure: the medium response is not finite"),
     ("tomography", {"statistics": {"rng_seed": 2**128}}, "-", (2,),
      "config error: statistics.rng_seed: "),
     ("retrieval", {"retrieval_grid": {"points": 2**64}}, "-", (2,),

@@ -1,15 +1,16 @@
 import math
+import random
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import angle_diff
+from conftest import FALSE_ALARM, angle_diff
 from rydberg_xpm import photostatistics
 from rydberg_xpm.errors import InsufficientStatisticsError
 from rydberg_xpm.photostatistics import (
-    CHUNK_SHOTS,
     MAX_MEAN_PHOTONS_TARGET,
     MAX_REPETITIONS,
     ExperimentConfig,
@@ -483,37 +484,100 @@ class TestBlocks:
         assert peak < 9.5e6
 
 
-class TestTally:
-    @pytest.mark.parametrize("postselect", [True, False])
-    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
-    def test_equals_monolithic_estimate(self, basis_mode, postselect):
-        cfg = ExperimentConfig(
-            repetitions=2 * CHUNK_SHOTS + 17, rng_seed=99, basis_mode=basis_mode
-        )
-        whole = estimate_stokes(
-            simulate_batch(cfg, TRUTH, balanced_state()), postselect=postselect
-        )
-        assert tally_stokes(cfg, TRUTH, balanced_state(), postselect) == whole
-        assert whole.n_total == 2 * CHUNK_SHOTS + 17
+def same_law(x, y, cells=20):
+    """Chi-square p-value that the samples x and y share one law, in cells
+    between the quantiles of both; 1 where both hold one and the same value."""
+    from scipy import stats
 
-    @pytest.mark.parametrize("target", [0.9, 40.0, 1000.0])
+    pooled = np.concatenate([x, y])
+    if np.all(pooled == pooled[0]):
+        return 1.0
+    edges = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, cells + 1)[1:-1]))
+    table = np.array([np.bincount(np.searchsorted(edges, z), minlength=edges.size + 1)
+                      for z in (x, y)])
+    return stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1]
+
+
+def sufficient_statistics(sums, n_kept):
+    """n_kept, the six port sums, each basis's k - l and the total count."""
+    sums = np.asarray(sums)
+    return [n_kept, *sums.ravel(), *(sums[:, 0] - sums[:, 1]), sums.sum()]
+
+
+class TestTally:
+    @pytest.mark.parametrize("target", [0.9, 40.0])
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    def test_same_law_as_the_shots(self, basis_mode, target):
+        # the tally's statistics and those of simulate_batch over 1000 seeds
+        # each, with and without postselection: every marginal, each basis's
+        # k - l and the total count agree in law (11 comparisons a case)
+        tally = {True: [], False: []}
+        shots = {True: [], False: []}
+        for seed in range(1000):
+            cfg = ExperimentConfig(repetitions=3000, rng_seed=seed,
+                                   basis_mode=basis_mode, mean_photons_target=target)
+            batch = simulate_batch(cfg, TRUTH, balanced_state())
+            for postselect in (True, False):
+                shots[postselect].append(sufficient_statistics(
+                    *photostatistics._basis_sums(batch, postselect)))
+                tally[postselect].append(sufficient_statistics(
+                    *photostatistics._tally_sums(cfg, TRUTH, balanced_state(),
+                                                 postselect)))
+        for postselect in (True, False):
+            x, y = np.array(tally[postselect]), np.array(shots[postselect])
+            for j in range(x.shape[1]):
+                assert same_law(x[:, j], y[:, j]) > FALSE_ALARM, (postselect, j)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 60000, MAX_REPETITIONS])
+    def test_round_robin_basis_shots(self, n):
+        # N_b = N // 3 + (b < N % 3), as the shots of simulate_batch count
+        expected = [n // 3 + (b < n % 3) for b in range(3)]
+        assert photostatistics._basis_shots(random.Random(0), n, True) == expected
+        if n <= 60000:
+            batch = simulate_batch(ExperimentConfig(repetitions=n), TRUTH,
+                                   balanced_state())
+            assert np.bincount(batch.basis_index, minlength=3).tolist() == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, MAX_REPETITIONS])
+    def test_random_basis_shots_sum_to_the_shots(self, n):
+        for seed in range(20):
+            shots = photostatistics._basis_shots(random.Random(seed), n, False)
+            assert sum(shots) == n and min(shots) >= 0
+
     @pytest.mark.parametrize("postselect", [True, False])
     @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
-    def test_sums_match_mask_reference(self, basis_mode, postselect, target):
-        cfg = ExperimentConfig(repetitions=CHUNK_SHOTS + 17, rng_seed=5,
-                               basis_mode=basis_mode, mean_photons_target=target)
-        batch = simulate_batch(cfg, TRUTH, balanced_state())
-        counts, n_kept = mask_basis_sums(batch, postselect)
-        for summary in (estimate_stokes(batch, postselect=postselect),
-                        tally_stokes(cfg, TRUTH, balanced_state(), postselect)):
-            assert summary.counts == counts
-            assert summary.n_postselected == n_kept
+    def test_kept_and_total_shots(self, basis_mode, postselect):
+        cfg = ExperimentConfig(repetitions=60001, rng_seed=4, basis_mode=basis_mode)
+        summary = tally_stokes(cfg, TRUTH, balanced_state(), postselect)
+        assert summary.n_total == 60001
+        if postselect:
+            assert 0 < summary.n_postselected < 60001
+        else:
+            assert summary.n_postselected == 60001
+        assert all(isinstance(v, int) for pair in summary.counts.values()
+                   for v in pair)
 
     def test_names_the_empty_basis(self):
         cfg = ExperimentConfig(detection_efficiency=0.0, repetitions=300)
         with pytest.raises(InsufficientStatisticsError) as err:
             tally_stokes(cfg, TRUTH, balanced_state(), postselect=False)
         assert err.value.basis == "HV"
+
+    @pytest.mark.parametrize("postselect", [True, False])
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    def test_largest_repetition_count_simulates_no_shot(self, monkeypatch,
+                                                       basis_mode, postselect):
+        def no_shots(*args, **kwargs):
+            pytest.fail("shots were simulated")
+
+        monkeypatch.setattr(photostatistics, "simulate_batch", no_shots)
+        cfg = ExperimentConfig(repetitions=MAX_REPETITIONS, basis_mode=basis_mode)
+        start = time.perf_counter()
+        summary = tally_stokes(cfg, TRUTH, balanced_state(), postselect)
+        assert time.perf_counter() - start < 1.0
+        assert summary.n_total == MAX_REPETITIONS
+        # every count sum stays below 2^53
+        assert max(v for pair in summary.counts.values() for v in pair) < 2**53
 
     def test_memory_does_not_grow_with_repetitions(self):
         def peak(repetitions):
@@ -525,19 +589,26 @@ class TestTally:
             finally:
                 tracemalloc.stop()
 
-        # numpy imports its random modules on first use, outside the trace
-        simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), n=1)
-        small, large = peak(2**19), peak(2**21)
-        # Each run peaks at one chunk's output and the block temporaries of
-        # both workers.  How the two workers' blocks overlap in time moves it
-        # by their short-lived index arrays (16 bytes per shot of a block);
-        # one block's Philox words (64 bytes per shot) bound that.
-        assert large <= small + 64 * B
-        # one chunk's words (8 per shot) bound it, not the 2^21 shots
-        assert large < 4 * 64 * CHUNK_SHOTS
+        small, large = peak(2**19), peak(MAX_REPETITIONS)
+        # a dozen integers and the summary: a few kB at any count
+        assert large <= small + 1024
+        assert large < 32 * 1024
 
 
 class TestEstimator:
+    @pytest.mark.parametrize("target", [0.9, 40.0, 1000.0])
+    @pytest.mark.parametrize("postselect", [True, False])
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    def test_sums_match_mask_reference(self, basis_mode, postselect, target):
+        # many whole blocks and a part of one
+        cfg = ExperimentConfig(repetitions=32 * B + 17, rng_seed=5,
+                               basis_mode=basis_mode, mean_photons_target=target)
+        batch = simulate_batch(cfg, TRUTH, balanced_state())
+        counts, n_kept = mask_basis_sums(batch, postselect)
+        summary = estimate_stokes(batch, postselect=postselect)
+        assert summary.counts == counts
+        assert summary.n_postselected == n_kept
+
     def test_counts_all_in_one_port(self):
         batch = retrieved_batch([0, 1, 2], [4, 2, 1], [0, 2, 1])
         summary = estimate_stokes(batch, postselect=True)

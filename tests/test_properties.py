@@ -24,14 +24,8 @@ from rydberg_xpm.errors import (
     InsufficientStatisticsError,
     RydbergXPMError,
 )
-from rydberg_xpm.photostatistics import (
-    CHUNK_SHOTS,
-    estimate_stokes,
-    simulate_batch,
-    tally_stokes,
-    truth_stokes,
-)
-from rydberg_xpm.polarization import balanced_input_state
+from rydberg_xpm.photostatistics import MAX_REPETITIONS, tally_stokes, truth_stokes
+from rydberg_xpm.polarization import BASIS_NAMES, balanced_input_state
 from rydberg_xpm.susceptibility import chi
 
 from conftest import angle_diff, assert_matches_reference, reference_od_phase
@@ -142,27 +136,34 @@ def statistics_overrides(draw):
 @given(statistics=statistics_overrides(),
        basis_mode=st.sampled_from(["round_robin", "random"]),
        postselect=st.booleans(),
-       repetitions=st.one_of(st.integers(1, 4000),
-                             st.integers(CHUNK_SHOTS - 3, CHUNK_SHOTS + 4000)),
+       repetitions=st.one_of(st.integers(1, 4000), st.integers(1, MAX_REPETITIONS)),
        seed=st.integers(0, 2**128 - 1),
        truth=st.tuples(st.floats(0.0, 4.0), st.floats(-10.0, 10.0),
                        st.floats(0.0, 4.0), st.floats(-10.0, 10.0)))
-def test_tally_is_the_estimate_of_one_batch(statistics, basis_mode, postselect,
-                                            repetitions, seed, truth):
-    # the chunked tally gives the counts, the kept count, and the empty
-    # basis, of one batch of every shot
+def test_tally_summarizes_every_shot(statistics, basis_mode, postselect,
+                                     repetitions, seed, truth):
+    # at any repetition count the tally counts every shot, keeps every shot
+    # without postselection and at most all of them with it, sums integer
+    # counts, or names a basis without counts
     cfg = RunConfig({"statistics": dict(statistics, basis_mode=basis_mode,
                                         repetitions=repetitions, rng_seed=seed)})
     (experiment,) = built(cfg, "experiment")
     state = balanced_input_state(truth[2])
     try:
-        whole = estimate_stokes(simulate_batch(experiment, truth, state), postselect)
+        summary = tally_stokes(experiment, truth, state, postselect)
     except InsufficientStatisticsError as exc:
-        with pytest.raises(InsufficientStatisticsError) as err:
-            tally_stokes(experiment, truth, state, postselect)
-        assert err.value.basis == exc.basis
+        assert exc.basis in BASIS_NAMES
+        return
+    assert summary.n_total == repetitions
+    if postselect:
+        assert 0 <= summary.n_postselected <= repetitions
     else:
-        assert tally_stokes(experiment, truth, state, postselect) == whole
+        assert summary.n_postselected == repetitions
+    for a, c in summary.counts.values():
+        assert isinstance(a, int) and isinstance(c, int)
+        assert a >= 0 and c >= 0 and a + c > 0
+    assert all(abs(x) <= 1.0 for x in (summary.stokes.s_hv, summary.stokes.s_da,
+                                        summary.stokes.s_lr))
 
 
 # OD up to 745: apply_medium raises InsufficientStatisticsError from about
