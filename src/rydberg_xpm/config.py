@@ -14,7 +14,6 @@ subcommand needs its object.
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import math
 from dataclasses import replace
@@ -158,13 +157,11 @@ def _validate(raw: dict, schema=None, prefix: str = "") -> None:
 
 
 def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
+    """``base`` with the keys of a validated ``override`` replaced, section
+    by section, in the key order of ``base``; the values are scalars, so no
+    section is shared with either argument."""
+    return {section: {**keys, **override.get(section, {})}
+            for section, keys in base.items()}
 
 
 class RunConfig:

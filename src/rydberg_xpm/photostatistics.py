@@ -57,9 +57,9 @@ mean).  The draw order is fixed: N_0 and N_1 for random bases, then per
 basis HV, DA, LR in turn S_b, R_b (under postselection only), the port-k
 sum and the port-l sum.  The generator is ``random.Random(rng_seed)``, read
 only through ``random()``, whose sequence Python keeps for an integer
-seed, and the samplers of ``variates`` are exact and take O(1) expected
-time, so a tally's time and memory do not depend on the number of
-repetitions.
+seed, and ``variates`` draws each variate exactly in O(1) expected time,
+by one rejection loop for both laws, so a tally's time and memory do not
+depend on the number of repetitions.
 """
 
 from __future__ import annotations
@@ -160,6 +160,12 @@ class ExperimentConfig:
         """sqrt(eta(0)): symmetric split of the combined storage-and-retrieval
         efficiency (only the product is constrained)."""
         return math.sqrt(self.storage_retrieval_efficiency_zero_delay)
+
+    @property
+    def p_stored(self) -> float:
+        """1 - exp(-<n_c> p_store): a shot stores a control excitation when
+        its Poisson control pulse stores at least one photon."""
+        return 1.0 - math.exp(-self.mean_photons_control * self.p_store)
 
     def p_retrieve(self, t: float) -> float:
         p_store = self.p_store
@@ -310,13 +316,12 @@ def simulate_batch(
     """
     if n is None:
         n = config.repetitions
-    p_stored = 1.0 - math.exp(-config.mean_photons_control * config.p_store)
     lams = _port_lambdas(config, truth, input_state)
     kernel = _Kernel(
         seed=config.rng_seed,
         start_index=start_index,
         round_robin=config.basis_mode == "round_robin",
-        t_stored=_threshold(p_stored),
+        t_stored=_threshold(config.p_stored),
         t_retrieved=_threshold(config.p_retrieve(config.delay)),
         table_k=_grouped_table([lk for lk, _ in lams]),
         table_l=_grouped_table([ll for _, ll in lams]),
@@ -419,7 +424,7 @@ def _draw_counts(table, group: np.ndarray, m: np.ndarray, out: np.ndarray) -> No
     ``_grouped_table``) of the remaining shots."""
     keys, starts, first = table
     out.fill(0)
-    hit = np.flatnonzero(m > first[group])
+    hit = np.flatnonzero(m > np.take(first, group))
     g = group[hit]
     key = (g.astype(np.uint64) << _GROUP_SHIFT) | m[hit]
     out[hit] = np.searchsorted(keys, key) - starts[g]
@@ -504,13 +509,12 @@ def _tally_sums(
 
     rng = random.Random(config.rng_seed)
     n = config.repetitions
-    p_stored = 1.0 - math.exp(-config.mean_photons_control * config.p_store)
     p_retrieved = config.p_retrieve(config.delay)
     lams = _port_lambdas(config, truth, input_state)
     sums = []
     n_kept = 0
     for b, n_b in enumerate(_basis_shots(rng, n, config.basis_mode == "round_robin")):
-        stored = binomial(rng, n_b, p_stored)
+        stored = binomial(rng, n_b, config.p_stored)
         if postselect:
             retrieved = binomial(rng, stored, p_retrieved)
             n_kept += retrieved

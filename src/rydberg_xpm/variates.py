@@ -2,13 +2,12 @@
 
 The variates are drawn from ``random.Random.random()`` alone, whose
 sequence Python keeps for an integer seed; a logarithm is taken only of
-1 - random(), which lies in (0, 1].  Each sampler is exact and takes O(1)
-expected time: CDF inversion below a mean of REJECTION_FROM, and from there
-transformed rejection with squeeze, PTRS for the Poisson law and BTRS for
-the binomial one, after the symmetry p <= 1/2.  The acceptance tests
-evaluate the log-pmf in Loader's saddle-point form, which keeps its digits
-at means up to 2^53, where k log lam - lam - log k! loses about 50 to
-cancellation.
+1 - random(), which lies in (0, 1].  Both laws are discrete log-concave, so
+one rejection loop, ``_log_concave``, draws both exactly in O(1) expected
+time (Devroye, "A simple generator for discrete log-concave
+distributions", Computing 39, 1987).  It evaluates the log-pmf in Loader's
+saddle-point form, which keeps its digits at means up to 2^53, where
+k log lam - lam - log k! loses about 50 to cancellation.
 """
 
 from __future__ import annotations
@@ -16,90 +15,50 @@ from __future__ import annotations
 import math
 import random
 
-# a variate of a smaller mean is drawn by CDF inversion, and of this mean
-# or more by transformed rejection
-REJECTION_FROM = 10.0
-
 
 def poisson(rng: random.Random, lam: float) -> int:
-    """A Poisson(lam) variate: CDF inversion below REJECTION_FROM, else
-    PTRS (Hoermann, "The transformed rejection method for generating
-    Poisson random variables", Insurance Math. Econ. 12, 1993)."""
-    if lam < REJECTION_FROM:
-        u = rng.random()
-        k, pmf = 0, math.exp(-lam)
-        cdf = pmf
-        # the summed CDF can round to below the largest uniform: stop where
-        # the pmf underflows
-        while u >= cdf and pmf > 0.0:
-            k += 1
-            pmf *= lam / k
-            cdf += pmf
-        return k
-    slam = math.sqrt(lam)
-    b = 0.931 + 2.53 * slam
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    # k = floor(x + lam + 0.43) is taken as floor(lam) plus a floor of small
-    # numbers, so that it is exact at every mean
-    whole = math.floor(lam)
-    shift = lam - whole + 0.43
-    while True:
-        u = rng.random() - 0.5
-        v = 1.0 - rng.random()
-        us = 0.5 - abs(u)
-        if us < 0.013 and v > us:  # also rejects us = 0, where x is infinite
-            continue
-        k = whole + math.floor((2.0 * a / us + b) * u + shift)
-        if us >= 0.07 and v <= v_r:
-            return k
-        if k >= 0 and (math.log(v * inv_alpha / (a / (us * us) + b))
-                       <= log_poisson_pmf(k, lam)):
-            return k
+    """A Poisson(lam) variate."""
+    if lam == 0.0:
+        return 0
+    return _log_concave(rng, math.floor(lam), lambda k: log_poisson_pmf(k, lam),
+                        math.inf)
 
 
 def binomial(rng: random.Random, n: int, p: float) -> int:
-    """A Bin(n, p) variate: n minus a Bin(n, 1 - p) one if p > 1/2, else CDF
-    inversion where n p < REJECTION_FROM and BTRS from there (Hoermann,
-    "The generation of binomial random variates", J. Statist. Comput.
-    Simul. 46, 1993)."""
-    if p > 0.5:
-        return n - binomial(rng, n, 1.0 - p)
-    q = 1.0 - p
-    if n * p < REJECTION_FROM:
-        u = rng.random()
-        k, pmf = 0, math.exp(n * math.log1p(-p))
-        cdf = pmf
-        while u >= cdf and pmf > 0.0 and k < n:
-            pmf *= (n - k) / (k + 1) * (p / q)
-            k += 1
-            cdf += pmf
-        return k
-    spq = math.sqrt(n * p * q)
-    b = 1.15 + 2.53 * spq
-    a = -0.0873 + 0.0248 * b + 0.01 * p
-    alpha = (2.83 + 5.1 / b) * spq
-    v_r = 0.92 - 4.2 / b
+    """A Bin(n, p) variate."""
+    if n == 0 or p == 0.0:
+        return 0
+    if p == 1.0:
+        return n
     num, den = p.as_integer_ratio()
     mode = (n + 1) * num // den  # floor((n + 1) p), exactly
-    log_pmf_mode = log_binomial_pmf(mode, n, p)
-    c = n * p + 0.5
-    whole = math.floor(c)
-    shift = c - whole
+    return _log_concave(rng, mode, lambda k: log_binomial_pmf(k, n, p), n)
+
+
+def _log_concave(rng: random.Random, mode: int, log_pmf, top: float) -> int:
+    """A variate of the log-concave law on [0, top] with this mode and
+    log-pmf, by Devroye's rejection from the pmf p_m at the mode alone.
+
+    Y has density proportional to min(1, e^(w - p_m y)) on y >= 0, with
+    w = 1 + p_m / 2, and k = mode +- round(Y) is accepted with probability
+    p(k) / (p_m min(1, e^(w - p_m Y))): the accepted Y is flat on each unit
+    cell, so P(k) is proportional to p(k).  That probability is at most 1
+    because p(mode + j) <= p_m e^(1 - p_m |j|) for a log-concave law, which
+    is the envelope at the far edge, Y = |j| + 1/2, of the cell of j.
+    """
+    log_pm = log_pmf(mode)
+    pm = math.exp(log_pm)
+    w = 1.0 + 0.5 * pm
     while True:
-        u = rng.random() - 0.5
-        v = 1.0 - rng.random()
-        us = 0.5 - abs(u)
-        if us == 0.0:  # x is infinite
+        if rng.random() < w / (1.0 + w):
+            y = rng.random() * w / pm
+        else:
+            y = (w - math.log(1.0 - rng.random())) / pm
+        x = math.floor(y + 0.5)
+        k = mode + x if rng.random() < 0.5 else mode - x
+        if not 0 <= k <= top:
             continue
-        k = whole + math.floor((2.0 * a / us + b) * u + shift)
-        if not 0 <= k <= n:
-            continue
-        if us >= 0.07 and v <= v_r:
-            return k
-        if (math.log(v * alpha / (a / (us * us) + b))
-                <= log_binomial_pmf(k, n, p) - log_pmf_mode):
+        if math.log(1.0 - rng.random()) + min(0.0, w - pm * y) <= log_pmf(k) - log_pm:
             return k
 
 

@@ -279,32 +279,32 @@ class TestTomographyCommand:
 
     @pytest.mark.parametrize("seed_args,expected", [
         ([], {
-            "counts": {"DA": [168, 27], "HV": [103, 79], "LR": [87, 95]},
-            "n_postselected": 6372,
-            "stokes_estimate": {"s_da": 0.7230769230769231,
-                                "s_hv": 0.13186813186813187,
-                                "s_lr": -0.04395604395604396},
-            "stokes_stderr": {"s_da": 0.049466889382676946,
-                              "s_hv": 0.0734776184730451,
-                              "s_lr": 0.07405328739984346},
-            "azimuth_rad": 1.3904079246731182,
+            "counts": {"DA": [163, 22], "HV": [102, 76], "LR": [107, 107]},
+            "n_postselected": 6283,
+            "stokes_estimate": {"s_da": 0.7621621621621621,
+                                "s_hv": 0.14606741573033707,
+                                "s_lr": 0.0},
+            "stokes_stderr": {"s_da": 0.04759677700695983,
+                              "s_hv": 0.0741492690555418,
+                              "s_lr": 0.06835859270246633},
+            "azimuth_rad": 1.3814435712633701,
         }),
         (["--seed", "7"], {
-            "counts": {"DA": [146, 25], "HV": [101, 72], "LR": [86, 92]},
-            "n_postselected": 6307,
-            "stokes_estimate": {"s_da": 0.7076023391812866,
-                                "s_hv": 0.1676300578034682,
-                                "s_lr": -0.033707865168539325},
-            "stokes_stderr": {"s_da": 0.05403588419929698,
-                              "s_hv": 0.07495278528185292,
-                              "s_lr": 0.07491057514586412},
-            "azimuth_rad": 1.3381858189818372,
+            "counts": {"DA": [154, 27], "HV": [92, 77], "LR": [97, 96]},
+            "n_postselected": 6340,
+            "stokes_estimate": {"s_da": 0.7016574585635359,
+                                "s_hv": 0.08875739644970414,
+                                "s_lr": 0.0051813471502590676},
+            "stokes_stderr": {"s_da": 0.052960780383189826,
+                              "s_hv": 0.07661948261265658,
+                              "s_lr": 0.07198060884680706},
+            "azimuth_rad": 1.4449678699876598,
         }),
     ])
     def test_default_counts_are_frozen(self, tmp_path, seed_args, expected):
-        """The tally of the built-in config, as first drawn from the law of
-        its sufficient statistics, stays the same: the counts and the
-        estimate are exact."""
+        """The tally of the built-in config, drawn from the law of its
+        sufficient statistics, stays the same: the counts and the estimate
+        are exact."""
         code = main(["tomography", "--output-dir", str(tmp_path)] + seed_args)
         assert code == 0
         out = read_json(tmp_path / "tomography.json")

@@ -3,6 +3,7 @@ import random
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -593,6 +594,39 @@ class TestTally:
         # a dozen integers and the summary: a few kB at any count
         assert large <= small + 1024
         assert large < 32 * 1024
+
+    def test_uniforms_per_tally_do_not_grow_with_repetitions(self, monkeypatch):
+        # a host-independent cost: the tally's random() calls over 50 seeds,
+        # both basis modes and both analyses, at 60000 shots and at the
+        # largest count; a sampler whose cost grows as the square root of
+        # the mean would take about 10^8 here
+        class CountingRandom(random.Random):
+            calls = 0
+
+            def random(self):
+                self.calls += 1
+                return super().random()
+
+        rngs = []
+
+        def counting(seed):
+            rngs.append(CountingRandom(seed))
+            return rngs[-1]
+
+        monkeypatch.setattr(photostatistics, "random",
+                            types.SimpleNamespace(Random=counting))
+        for repetitions in (60000, MAX_REPETITIONS):
+            for basis_mode in ("round_robin", "random"):
+                for seed in range(50):
+                    cfg = ExperimentConfig(repetitions=repetitions, rng_seed=seed,
+                                           basis_mode=basis_mode)
+                    for postselect in (True, False):
+                        photostatistics._tally_sums(cfg, TRUTH, balanced_state(),
+                                                    postselect)
+        calls = [rng.calls for rng in rngs]
+        assert len(calls) == 400
+        # at most 396 calls when this bound was set
+        assert max(calls) <= 600
 
 
 class TestEstimator:

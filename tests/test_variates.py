@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,14 +14,23 @@ from rydberg_xpm.photostatistics import MAX_REPETITIONS
 
 def goodness_of_fit(draws, law, cells=40):
     """Chi-square p-value of integer ``draws`` against the frozen scipy
-    distribution ``law``, in cells between its quantiles."""
+    distribution ``law``, in cells between its quantiles.  The cells of a
+    law of few values collapse: a cell the law cannot reach must stay empty
+    and is left out, and a value holding every quantile is split from the
+    values below it."""
     from scipy import stats
 
     edges = np.unique(law.ppf(np.linspace(0.0, 1.0, cells + 1)[1:-1]))
+    if edges.size == 1:
+        edges = np.array([edges[0] - 1.0, edges[0]])
     # cell i holds the values in (edges[i - 1], edges[i]]
     observed = np.bincount(np.searchsorted(edges, draws), minlength=edges.size + 1)
     expected = np.diff(np.concatenate(([0.0], law.cdf(edges), [1.0]))) * len(draws)
-    return stats.chi2.sf(((observed - expected) ** 2 / expected).sum(), edges.size)
+    reached = expected > 0.0
+    assert not observed[~reached].any()
+    observed, expected = observed[reached], expected[reached]
+    return stats.chi2.sf(((observed - expected) ** 2 / expected).sum(),
+                         expected.size - 1)
 
 
 class NormalLimit:
@@ -44,9 +54,10 @@ class NormalLimit:
 
 
 class TestSamplers:
-    # both sides of the switch from inversion to rejection, at
-    # variates.REJECTION_FROM = 10, and the largest sums a tally draws
-    @pytest.mark.parametrize("lam", [0.0, 0.5, 9.9, 10.0, 50.0, 1e6, 6.4e15])
+    # means whose mode is 0 or a few, an integer mean (two modes), and the
+    # largest sums a tally draws
+    @pytest.mark.parametrize("lam", [0.0, 0.001, 0.3, 0.5, 3.7, 9.9, 10.0, 50.0,
+                                     1e6, 6.4e15])
     def test_poisson_matches_the_pmf(self, lam):
         from scipy import stats
 
@@ -60,9 +71,11 @@ class TestSamplers:
 
     @pytest.mark.parametrize("n,p", [
         (99, 0.1), (100, 0.1), (150, 1 / 3), (3_000_000, 1 / 3),
-        # p > 1/2 by symmetry, on both sides of the switch
         (1000, 0.9), (90, 0.9),
         (MAX_REPETITIONS, 1 / 3), (MAX_REPETITIONS, 1e-12),
+        # a few values, where the quantile cells collapse, down to a mode at
+        # the top of the support
+        (1, 0.3), (2, 0.5), (5, 0.5), (3, 0.999),
     ])
     def test_binomial_matches_the_pmf(self, n, p):
         from scipy import stats
@@ -110,3 +123,26 @@ class TestSamplers:
                 - variates.log_binomial_pmf(k, n, p))
         assert step == pytest.approx(math.log((n - k) / (k + 1) * p / (1 - p)),
                                      abs=1e-12)
+
+    # Poisson means 1e-6 to 6.4e15, and binomials from a few values to the
+    # largest a tally draws, each with its mode
+    @pytest.mark.parametrize("log_pmf,mode,top,args", [
+        *[(variates.log_poisson_pmf, math.floor(lam), math.inf, (lam,))
+          for lam in np.geomspace(1e-6, 6.4e15, 45)],
+        *[(variates.log_binomial_pmf, math.floor((n + 1) * Fraction(p)), n, (n, p))
+          for n, p in [(1, 0.3), (2, 0.5), (5, 0.5), (3, 0.999), (90, 0.9),
+                       (3_000_000, 1 / 3), (MAX_REPETITIONS, 1 / 3),
+                       (MAX_REPETITIONS, 1e-12), (MAX_REPETITIONS, 0.999)]],
+    ])
+    def test_devroye_bound(self, log_pmf, mode, top, args):
+        # p(m + k) <= p_m e^(1 - p_m |k|), the envelope variates._log_concave
+        # rejects from, next to the mode and out to 64 / p_m (about 160
+        # standard deviations) on both sides
+        log_pm = log_pmf(mode, *args)
+        pm = math.exp(log_pm)
+        offsets = set(range(-30, 31)) | {
+            sign * round(t / pm) for sign in (-1, 1) for t in (0.5, 1, 2, 4, 8, 16, 64)}
+        for k in sorted(offsets):
+            if 0 <= mode + k <= top:
+                gap = log_pmf(mode + k, *args) - log_pm
+                assert gap <= min(0.0, 1.0 - pm * abs(k)) + 1e-12, k
