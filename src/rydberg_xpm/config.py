@@ -44,7 +44,8 @@ _ANY = ("finite", lambda v: True)
 # resolve the default 60 MHz spectrum to 0.6 kHz.
 MAX_GRID_POINTS = 10**5
 _GRID_POINTS = (f"in [1, {MAX_GRID_POINTS}]", lambda v: 1 <= v <= MAX_GRID_POINTS)
-# numpy's Philox takes a 128-bit key
+# numpy's SeedSequence mixes a seed into a 128-bit pool, so larger seeds
+# would give simulate_batch no more streams
 _SEED = ("non-negative and below 2**128", lambda v: 0 <= v < 2**128)
 
 # section -> key -> (default, (description, predicate)); a key accepts the

@@ -11,37 +11,27 @@ mean <n_t> times the detection efficiency times its power from
 delay-dependent retrieval probability, and analysis may postselect on
 retrieval.  This module only samples those powers and estimates from counts.
 
-The per-shot model ``simulate_batch`` is counter-based: shot i consumes
-exactly two Philox counter blocks (eight 64-bit words) keyed by the seed,
-so any batch, chunked or parallel evaluation order yields bit-identical
-shots; a single shot i is
-``simulate_batch(..., start_index=i, n=1)``.  Word w of a shot gives the
-53-bit integer m = w >> 11, whose uniform is u = m 2^-53 exactly, so the
-kernel never forms u: ``u < p`` is tested as ``m < ceil(p 2^53)``, and a
-Poisson draw by CDF inversion (the number of CDF values below u) counts the
-thresholds floor(cdf 2^53) below m.  The thresholds of the six (stored,
-basis) groups sit in one sorted table, the group number in the bits above
-bit 53.  A count is 0 exactly when m is at most its group's first
-threshold, floor(e^-lam 2^53) (2^53 when lam = 0), which holds for most
-shots at a mean below one photon; so a port's counts are zeroed and one
-``searchsorted`` of the table draws only the shots above that threshold.
-``estimate_stokes`` likewise bins only the kept shots that count a photon,
-_BLOCK_SHOTS shots at a time, so its temporaries are those of a slice.
+The per-shot model ``simulate_batch`` draws its shots in blocks of
+_BLOCK_SHOTS: shot i is column i % _BLOCK_SHOTS of block i // _BLOCK_SHOTS,
+whose five rows of uniforms come from the numpy Generator seeded
+``[rng_seed, block]``.  Rows 0 to 4 decide storage, retrieval, the random
+basis (floor(3u), capped at 2; round-robin bases are i % 3) and the counts
+of ports k and l.  A call draws every block it touches whole and keeps the
+columns it needs, so any chunking or start index yields bit-identical
+shots; a single shot i is ``simulate_batch(..., start_index=i, n=1)``.
+A count is drawn by CDF inversion, the number of Poisson CDF values below
+u; it is 0 exactly when u is at most cdf[0] = e^-lam, which holds for most
+shots at a mean below one photon, so a port's counts are zeroed and only
+the shots above that cut are searched, one (stored, basis) group at a time.
 
-``simulate_batch`` allocates its five output arrays once and fills them
-_BLOCK_SHOTS shots at a time, so its temporaries are those of a block, not
-of the batch: memory is O(output + 2 blocks).  A shot takes 7 bytes of
-output: an int8 basis (BASIS_DTYPE), two bools and two int16 counts
+``simulate_batch`` allocates its five output arrays once and fills them one
+block at a time on the calling thread, so its temporaries are those of a
+block, not of the batch: memory is O(output + 1 block).  A shot takes 7 bytes
+of output: an int8 basis (BASIS_DTYPE), two bools and two int16 counts
 (COUNT_DTYPE), which hold every count, since a count is below the size of
-the largest Poisson table (1405 entries at MAX_MEAN_PHOTONS_TARGET).  The
-blocks are split into contiguous shot ranges on max(1, min(2, usable cores,
-n // _BLOCK_SHOTS)) threads, the calling thread filling the first range;
-each range draws from its own Philox advanced to its first shot, and numpy
-releases the GIL in ``random_raw``, ``searchsorted`` and the large ufuncs.
-A batch of fewer than two whole blocks stays on the calling thread: a second
-thread would add its stack and a second block's temporaries for less than a
-block of work.  The thresholds and tables are built once per call and only
-read by the threads.
+the largest Poisson CDF (1405 entries at MAX_MEAN_PHOTONS_TARGET).
+``estimate_stokes`` bins only the kept shots that count a photon,
+_BLOCK_SHOTS shots at a time, so its temporaries are those of a slice too.
 
 ``tally_stokes``, which ``rydberg-xpm tomography`` runs, simulates no
 shots: the estimate reads only, per basis b, the shots N_b, the stored
@@ -65,9 +55,7 @@ depend on the number of repetitions.
 from __future__ import annotations
 
 import math
-import os
 import random
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,29 +65,18 @@ from .errors import InsufficientStatisticsError
 from .polarization import (BASIS_NAMES, PolarizationState, StokesVector, apply_medium,
                            port_powers, stokes)
 
-_MANTISSA = 2**53  # (raw >> 11) / 2^53 maps uint64 -> [0, 1)
-# thresholds reach 2^53, so the group number of a table key sits above bit 53
-_GROUP_SHIFT = np.uint64(54)
-_BLOCKS_PER_SHOT = 2  # 8 uniforms per shot
-# simulate_batch fills its shots _BLOCK_SHOTS at a time on at most
-# _MAX_WORKERS threads, each given whole blocks, and _basis_sums bins in
-# slices of the same size.  A block's 512 KB of Philox words is reused from
-# the heap, where the 2 MB of a 2^15-shot block was mapped afresh (26k page
-# faults per 2^22 shots, against 4k); on a 2-core Xeon 2^13 and 2^14 ran as
-# fast as 2^15, and 2^12 about 20 % slower.
+# simulate_batch draws its shots _BLOCK_SHOTS at a time, and _basis_sums
+# bins in slices of the same size.
 _BLOCK_SHOTS = 2**13
-_MAX_WORKERS = 2
-# The Poisson table and its temporaries grow linearly with the mean count
+# The Poisson CDF and its temporaries grow linearly with the mean count
 # (321 MB at a mean of 10^7), so the mean is bounded far below where it
 # would fill memory.
 MAX_MEAN_PHOTONS_TARGET = 1000.0
 # ShotBatch dtypes: a basis is 0, 1 or 2, and a count is below the size of
-# the largest Poisson table, 1405 entries at MAX_MEAN_PHOTONS_TARGET.  Both
+# the largest Poisson CDF, 1405 entries at MAX_MEAN_PHOTONS_TARGET.  Both
 # are signed, so that a difference of two counts cannot wrap.
 BASIS_DTYPE = np.int8
 COUNT_DTYPE = np.int16
-# the round-robin bases of a block: the slice starting at its first shot mod 3
-_ROUND_ROBIN = (np.arange(_BLOCK_SHOTS + 2) % 3).astype(BASIS_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -209,50 +186,21 @@ class CountSummary:
     n_total: int
 
 
-def _threshold(p: float) -> np.uint64:
-    """T such that m < T exactly when m 2^-53 < p, for 53-bit integers m."""
-    return np.uint64(min(math.ceil(p * _MANTISSA), _MANTISSA))
-
-
-def _poisson_thresholds(lam: float) -> np.ndarray:
-    """floor(cdf 2^53), clamped at 2^53, of the Poisson(lam) CDF: the number
-    of entries below m is the CDF-inversion count of the uniform m 2^-53
-    (cdf < m 2^-53 exactly when floor(cdf 2^53) < m).  Empty for lam = 0,
-    whose count is always 0."""
+def _poisson_cdf(lam: float) -> np.ndarray:
+    """The Poisson(lam) CDF up to lam + 12 sqrt(lam) + 25: the number of
+    entries below a uniform u is its CDF-inversion count.  [1.0] for
+    lam = 0, whose count is always 0."""
     if lam == 0.0:
-        return np.zeros(0, dtype=np.uint64)
+        return np.ones(1)
     kmax = int(lam + 12.0 * math.sqrt(lam) + 25.0)
     k = np.arange(1, kmax + 1, dtype=float)
     log_pmf = np.concatenate(([0.0], np.cumsum(np.log(lam / k)))) - lam
-    cdf = np.cumsum(np.exp(log_pmf))
-    return np.minimum(np.floor(cdf * _MANTISSA), _MANTISSA).astype(np.uint64)
+    return np.cumsum(np.exp(log_pmf))
 
 
-# A count is below the size of the largest Poisson table, so the count sums
+# A count is below the size of the largest Poisson CDF, so the count sums
 # of this many shots stay below 2^53, where float sums are exact.
-MAX_REPETITIONS = (_MANTISSA - 1) // _poisson_thresholds(MAX_MEAN_PHOTONS_TARGET).size
-
-
-def _random_basis(m: np.ndarray) -> np.ndarray:
-    """floor(3u), capped at 2, in float arithmetic: m (3 / 2^53) rounds
-    exactly as u * 3.0 does, which is not always floor(3m / 2^53) (the
-    product rounds m = (2^54 - 1) / 3 up to basis 2)."""
-    return np.minimum((m * (3.0 / _MANTISSA)).astype(BASIS_DTYPE), 2)
-
-
-def _grouped_table(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One sorted table of every group's Poisson thresholds, keyed
-    (group << 54) | threshold, the index where each group starts, and each
-    group's first threshold floor(e^-lam 2^53), or 2^53 for an empty table
-    (lam = 0): a count is 0 exactly when m is at most its group's first
-    threshold."""
-    parts = [_poisson_thresholds(lam) for lam in lams]
-    starts = np.cumsum([0] + [part.size for part in parts[:-1]])
-    first = np.array([part[0] if part.size else _MANTISSA for part in parts],
-                     dtype=np.uint64)
-    table = np.concatenate([(np.uint64(g) << _GROUP_SHIFT) | part
-                            for g, part in enumerate(parts)])
-    return table, starts, first
+MAX_REPETITIONS = (2**53 - 1) // _poisson_cdf(MAX_MEAN_PHOTONS_TARGET).size
 
 
 def output_state(
@@ -310,22 +258,15 @@ def simulate_batch(
     """Simulate shots [start_index, start_index + n) of the experiment.
 
     truth is the tuple (od0, phi0, od1, phi1) of medium responses without
-    and with a stored control excitation.  Words 0 to 4 of a shot draw
-    storage, retrieval, the random basis and the counts of ports k and l.
-    The shots are filled in blocks on up to two threads (module docstring).
+    and with a stored control excitation.  The shots are drawn one block at
+    a time (module docstring).
     """
     if n is None:
         n = config.repetitions
-    lams = _port_lambdas(config, truth, input_state)
-    kernel = _Kernel(
-        seed=config.rng_seed,
-        start_index=start_index,
-        round_robin=config.basis_mode == "round_robin",
-        t_stored=_threshold(config.p_stored),
-        t_retrieved=_threshold(config.p_retrieve(config.delay)),
-        table_k=_grouped_table([lk for lk, _ in lams]),
-        table_l=_grouped_table([ll for _, ll in lams]),
-    )
+    p_stored = config.p_stored
+    p_retrieved = config.p_retrieve(config.delay)
+    cdfs = [[_poisson_cdf(lam) for lam in port]
+            for port in zip(*_port_lambdas(config, truth, input_state))]
     batch = ShotBatch(
         basis_index=np.empty(n, dtype=BASIS_DTYPE),
         control_stored=np.empty(n, dtype=bool),
@@ -333,101 +274,38 @@ def simulate_batch(
         counts_k=np.empty(n, dtype=COUNT_DTYPE),
         counts_l=np.empty(n, dtype=COUNT_DTYPE),
     )
-    workers = max(1, min(_MAX_WORKERS, _usable_cores(), n // _BLOCK_SHOTS))
-    blocks = -(-n // _BLOCK_SHOTS)
-    edges = [min(w * blocks // workers * _BLOCK_SHOTS, n) for w in range(workers + 1)]
-    errors = []
-    threads = [
-        threading.Thread(target=_fill_range_in_thread,
-                         args=(errors, kernel, batch, lo, hi))
-        for lo, hi in zip(edges[1:-1], edges[2:])
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        _fill_range(kernel, batch, edges[0], edges[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    end = start_index + n
+    for block in range(start_index // _BLOCK_SHOTS, -(-end // _BLOCK_SHOTS)):
+        first = block * _BLOCK_SHOTS
+        a, b = max(start_index, first), min(end, first + _BLOCK_SHOTS)
+        u = np.random.default_rng([config.rng_seed, block]).random((5, _BLOCK_SHOTS))
+        u = u[:, a - first:b - first]
+        rows = slice(a - start_index, b - start_index)
+        stored = np.less(u[0], p_stored, out=batch.control_stored[rows])
+        retrieved = np.less(u[1], p_retrieved, out=batch.control_retrieved[rows])
+        retrieved &= stored
+        basis = batch.basis_index[rows]
+        if config.basis_mode == "round_robin":
+            basis[:] = np.arange(a, b) % 3
+        else:
+            np.minimum((u[2] * 3.0).astype(BASIS_DTYPE), 2, out=basis)
+        # a bool is one byte of 0 or 1, so the group stays int8 as well
+        group = basis + 3 * stored.view(BASIS_DTYPE)
+        _poisson_counts(cdfs[0], group, u[3], batch.counts_k[rows])
+        _poisson_counts(cdfs[1], group, u[4], batch.counts_l[rows])
     return batch
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on (all of them where the platform has
-    no affinity call)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class _Kernel:
-    """What every block of one ``simulate_batch`` call reads: the seed and
-    first shot, the basis mode, the storage and retrieval thresholds and
-    the grouped Poisson tables of ports k and l (see ``_grouped_table``)."""
-
-    seed: int
-    start_index: int
-    round_robin: bool
-    t_stored: np.uint64
-    t_retrieved: np.uint64
-    table_k: tuple[np.ndarray, np.ndarray, np.ndarray]
-    table_l: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _fill_range_in_thread(
-    errors: list, kernel: _Kernel, batch: ShotBatch, lo: int, hi: int
-) -> None:
-    """``_fill_range`` on a worker thread: an exception is appended to
-    ``errors``, for the calling thread to raise after ``join``."""
-    try:
-        _fill_range(kernel, batch, lo, hi)
-    except BaseException as exc:
-        errors.append(exc)
-
-
-def _fill_range(kernel: _Kernel, batch: ShotBatch, lo: int, hi: int) -> None:
-    """Fill rows [lo, hi) of ``batch`` with shots start_index + lo onwards,
-    _BLOCK_SHOTS shots at a time, from a Philox of its own."""
-    bg = np.random.Philox(key=kernel.seed)
-    bg.advance(_BLOCKS_PER_SHOT * (kernel.start_index + lo))
-    for a in range(lo, hi, _BLOCK_SHOTS):
-        b = min(a + _BLOCK_SHOTS, hi)
-        # every word is shifted, words 5 to 7 unused too: numpy shifts the
-        # contiguous 8 words of a shot several times faster than a strided 5
-        m = bg.random_raw(8 * (b - a)).reshape(b - a, 8)
-        m >>= np.uint64(11)
-        stored = np.less(m[:, 0], kernel.t_stored, out=batch.control_stored[a:b])
-        retrieved = np.less(m[:, 1], kernel.t_retrieved,
-                            out=batch.control_retrieved[a:b])
-        retrieved &= stored
-        basis = batch.basis_index[a:b]
-        if kernel.round_robin:
-            phase = (kernel.start_index + a) % 3
-            basis[:] = _ROUND_ROBIN[phase:phase + b - a]
-        else:
-            basis[:] = _random_basis(m[:, 2])
-        # a bool is one byte of 0 or 1, so the group stays int8 as well
-        group = basis + 3 * stored.view(BASIS_DTYPE)
-        _draw_counts(kernel.table_k, group, m[:, 3], batch.counts_k[a:b])
-        _draw_counts(kernel.table_l, group, m[:, 4], batch.counts_l[a:b])
-        # free this block's words before the next block draws its own
-        del m
-
-
-def _draw_counts(table, group: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
-    """The Poisson counts of one port into ``out``: 0 where m is at most
-    its group's first threshold, and one grouped ``searchsorted`` (see
-    ``_grouped_table``) of the remaining shots."""
-    keys, starts, first = table
+def _poisson_counts(cdfs, group: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """One port's Poisson counts into ``out``, by CDF inversion of u with
+    the CDF of each shot's group: 0 where u is at most cdf[0], and a
+    ``searchsorted`` of the remaining shots, one group at a time."""
     out.fill(0)
-    hit = np.flatnonzero(m > np.take(first, group))
+    hit = np.flatnonzero(u > np.take([cdf[0] for cdf in cdfs], group))
     g = group[hit]
-    key = (g.astype(np.uint64) << _GROUP_SHIFT) | m[hit]
-    out[hit] = np.searchsorted(keys, key) - starts[g]
+    for j, cdf in enumerate(cdfs):
+        shots = hit[g == j]
+        out[shots] = np.searchsorted(cdf, u[shots])
 
 
 def _basis_sums(batch: ShotBatch, postselect: bool) -> tuple[np.ndarray, int]:

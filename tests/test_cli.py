@@ -316,7 +316,7 @@ class TestTomographyCommand:
         def no_table(lam):
             raise AssertionError(f"Poisson table built for mean {lam}")
 
-        monkeypatch.setattr(photostatistics, "_poisson_thresholds", no_table)
+        monkeypatch.setattr(photostatistics, "_poisson_cdf", no_table)
         cfg = write_config(tmp_path, {"statistics": {"mean_photons_target": 1e12}})
         code = main(["tomography", "--config", cfg, "--output-dir", str(tmp_path)])
         assert code == 2

@@ -1,6 +1,5 @@
 import math
 import random
-import threading
 import time
 import tracemalloc
 import types
@@ -28,6 +27,8 @@ from rydberg_xpm.polarization import PolarizationState, stokes, visibility
 # frozen medium response at the default operating point
 TRUTH = (0.834204568833878, -1.5735361082477184,
          1.3725115599448552, 1.6191819221302537)
+# the shots of a block, which draws its uniforms from one Generator
+B = photostatistics._BLOCK_SHOTS
 
 
 def balanced_state():
@@ -67,13 +68,14 @@ def oracle_poisson(u, lam):
 
 
 def oracle_batch(config, truth, input_state, start_index, n):
-    """Reference kernel: float uniforms u = (word >> 11) 2^-53 and one
-    boolean mask per (stored, basis) group, as the Monte Carlo was first
-    written; simulate_batch must reproduce it bit for bit."""
-    bg = np.random.Philox(key=config.rng_seed)
-    bg.advance(2 * start_index)
-    raw = bg.random_raw(8 * n).reshape(n, 8)
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """Reference kernel: the uniforms of every block that covers the shots,
+    laid side by side, and one boolean mask per (stored, basis) group whose
+    every shot is inverted with no zero cut; simulate_batch must reproduce
+    it bit for bit."""
+    first, last = start_index // B, (start_index + n - 1) // B
+    u = np.concatenate([np.random.default_rng([config.rng_seed, block]).random((5, B))
+                        for block in range(first, last + 1)], axis=1)
+    u = u[:, start_index - first * B:][:, :n].T
     p_stored = 1.0 - math.exp(-config.mean_photons_control * config.p_store)
     stored = u[:, 0] < p_stored
     retrieved = stored & (u[:, 1] < config.p_retrieve(config.delay))
@@ -194,7 +196,7 @@ class TestConfigValidation:
 
     def test_repetitions_bounded(self):
         # count sums of the most shots at the largest mean stay below 2^53
-        size = photostatistics._poisson_thresholds(MAX_MEAN_PHOTONS_TARGET).size
+        size = photostatistics._poisson_cdf(MAX_MEAN_PHOTONS_TARGET).size
         assert MAX_REPETITIONS * size < 2**53 <= (MAX_REPETITIONS + 1) * size
         ExperimentConfig(repetitions=MAX_REPETITIONS)
         for value in (0, MAX_REPETITIONS + 1, 2**64):
@@ -317,7 +319,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
     def test_matches_oracle_at_the_largest_counts(self, basis_mode):
         # all the light in port L: mean 1000 in the LR basis, whose counts
-        # pass int8's range; two blocks, so that both threads may fill them
+        # pass int8's range; three blocks, the first and last in part
         cfg = ExperimentConfig(mean_photons_target=MAX_MEAN_PHOTONS_TARGET,
                                detection_efficiency=1.0, basis_mode=basis_mode,
                                rng_seed=2718)
@@ -328,20 +330,8 @@ class TestKernelOracle:
 
     def test_count_dtype_holds_the_largest_table(self):
         # a count is at most the size of its group's Poisson table
-        size = photostatistics._poisson_thresholds(MAX_MEAN_PHOTONS_TARGET).size
+        size = photostatistics._poisson_cdf(MAX_MEAN_PHOTONS_TARGET).size
         assert size < np.iinfo(photostatistics.COUNT_DTYPE).max
-
-    @pytest.mark.parametrize("lam", [1e-300, 0.9, 40.0, 1000.0, 3000.0])
-    def test_poisson_thresholds_at_their_edges(self, lam):
-        # every 53-bit integer next to a threshold, where a rounding slip
-        # between the integer and the float inversion would show
-        thresholds = photostatistics._poisson_thresholds(lam)
-        t = thresholds.astype(np.int64)
-        m = np.concatenate([t - 1, t, t + 1, [0, 1, 2**53 - 1]])
-        m = np.clip(m, 0, 2**53 - 1).astype(np.uint64)
-        u = m.astype(np.float64) * 2.0**-53
-        assert np.array_equal(np.searchsorted(thresholds, m),
-                              oracle_poisson(u, lam))
 
     @pytest.mark.parametrize("lams", [
         [1e-300, 0.011, 0.106, 0.9, 40.0, 1000.0],
@@ -349,130 +339,40 @@ class TestKernelOracle:
         [0.0] * 6,
     ])
     def test_zero_count_cut_at_its_edges(self, lams):
-        # each group's first threshold and its neighbours, and both ends of
-        # the 53-bit range, drawn through the zero cut and the grouped table
-        # in one call, the groups interleaved
-        table = photostatistics._grouped_table(lams)
-        first = table[2].astype(np.int64)
-        ms, expected = [], []
-        for g, lam in enumerate(lams):
-            assert first[g] == (photostatistics._poisson_thresholds(lam)[0]
-                                if lam else 2**53)
-            m = np.array([first[g] - 1, first[g], first[g] + 1, 0, 2**53 - 1])
-            m = np.clip(m, 0, 2**53 - 1).astype(np.uint64)
-            ms.append(m)
-            expected.append(oracle_poisson(m.astype(np.float64) * 2.0**-53, lam))
-        group = np.tile(np.arange(len(lams)), 5)
+        # each group's cdf[0] and the floats next to it, and both ends of
+        # [0, 1), drawn through the zero cut in one call, the groups
+        # interleaved
+        cdfs = [photostatistics._poisson_cdf(lam) for lam in lams]
+        us, expected = [], []
+        for lam, cdf in zip(lams, cdfs):
+            u = np.array([np.nextafter(cdf[0], 0.0), cdf[0], np.nextafter(cdf[0], 1.0),
+                          0.0, 1.0 - 2.0**-53])
+            us.append(u)
+            expected.append(oracle_poisson(u, lam))
+            if 0.0 < cdf[0] < 1.0:
+                assert expected[-1][1:3].tolist() == [0, 1]
+        group = np.tile(np.arange(len(lams), dtype=np.int8), 5)
         out = np.full(group.size, -1, dtype=np.int64)
-        photostatistics._draw_counts(table, group, np.stack(ms, axis=1).ravel(), out)
+        photostatistics._poisson_counts(cdfs, group, np.stack(us, axis=1).ravel(), out)
         assert np.array_equal(out, np.stack(expected, axis=1).ravel())
-
-    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 1e-300, math.sqrt(0.2),
-                                   1.0 - math.exp(-0.6 * math.sqrt(0.2)),
-                                   1.0 - 2.0**-53, 1.0])
-    def test_probability_threshold_at_its_edge(self, p):
-        t = int(photostatistics._threshold(p))
-        m = np.array([max(t - 1, 0), min(t, 2**53 - 1), 0, 2**53 - 1],
-                     dtype=np.uint64)
-        u = m.astype(np.float64) * 2.0**-53
-        assert np.array_equal(m < photostatistics._threshold(p), u < p)
-
-
-    def test_random_basis_at_its_edges(self):
-        # each basis boundary k 2^53 / 3, and the word whose product with 3
-        # rounds up across one
-        edges = [k * 2**53 // 3 + d for k in (1, 2, 3) for d in (-1, 0, 1)]
-        m = np.array([0, (2**54 - 1) // 3] + [min(e, 2**53 - 1) for e in edges],
-                     dtype=np.uint64)
-        u = m.astype(np.float64) * 2.0**-53
-        expected = np.minimum((u * 3.0).astype(np.int64), 2)
-        assert np.array_equal(photostatistics._random_basis(m), expected)
-        assert expected[1] == 2
-
-
-B = photostatistics._BLOCK_SHOTS
-
-
-def usable_cores(monkeypatch, cores):
-    """Make ``cores`` cores look usable to the kernel's worker rule."""
-    monkeypatch.setattr(photostatistics.os, "sched_getaffinity",
-                        lambda pid: set(range(cores)))
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
     @pytest.mark.parametrize("start_index", [0, 1, 2**40 + 1])
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 7,
-                                   2**15 - 1, 2**15 + 1])  # 2^15: former blocks
-    def test_matches_oracle_at_block_edges(self, monkeypatch, n, start_index,
-                                           basis_mode, cores):
-        usable_cores(monkeypatch, cores)
+                                   2**15 - 1, 2**15 + 1])
+    def test_matches_oracle_at_block_edges(self, n, start_index, basis_mode):
         cfg = ExperimentConfig(basis_mode=basis_mode, rng_seed=404)
         assert_same_batch(
             simulate_batch(cfg, TRUTH, balanced_state(), start_index, n),
             oracle_batch(cfg, TRUTH, balanced_state(), start_index, n),
         )
 
-    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
-    def test_one_core_equals_two(self, monkeypatch, basis_mode):
-        cfg = ExperimentConfig(repetitions=5 * B + 3, basis_mode=basis_mode,
-                               rng_seed=17)
-        usable_cores(monkeypatch, 1)
-        one = simulate_batch(cfg, TRUTH, balanced_state(), start_index=2)
-        usable_cores(monkeypatch, 2)
-        assert_same_batch(simulate_batch(cfg, TRUTH, balanced_state(), start_index=2),
-                          one)
-
-    @pytest.mark.parametrize("cores, n, ranges", [
-        (1, 3 * B + 7, [(0, 3 * B + 7)]),
-        (2, 2 * B - 1, [(0, 2 * B - 1)]),
-        (2, 2 * B, [(0, B), (B, 2 * B)]),
-        (2, 3 * B + 7, [(0, 2 * B), (2 * B, 3 * B + 7)]),
-        (8, 5 * B, [(0, 2 * B), (2 * B, 5 * B)]),
-    ])
-    def test_worker_rule(self, monkeypatch, cores, n, ranges):
-        # whole blocks per worker, at most two workers and never more than
-        # the usable cores; the calling thread fills the first range
-        usable_cores(monkeypatch, cores)
-        fill = photostatistics._fill_range
-        calls = []
-
-        def spy(kernel, batch, lo, hi):
-            on_caller = threading.current_thread() is threading.main_thread()
-            calls.append((lo, hi, on_caller))
-            fill(kernel, batch, lo, hi)
-
-        monkeypatch.setattr(photostatistics, "_fill_range", spy)
-        simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), n=n)
-        assert sorted(calls) == [(lo, hi, lo == 0) for lo, hi in ranges]
-
-    def test_platform_without_affinity_call(self, monkeypatch):
-        # os.sched_getaffinity is missing on some platforms: every core counts
-        monkeypatch.delattr(photostatistics.os, "sched_getaffinity")
-        monkeypatch.setattr(photostatistics.os, "cpu_count", lambda: 1)
-        cfg = ExperimentConfig(rng_seed=8)
-        assert_same_batch(simulate_batch(cfg, TRUTH, balanced_state(), 5, 2 * B),
-                          oracle_batch(cfg, TRUTH, balanced_state(), 5, 2 * B))
-        assert photostatistics._usable_cores() == 1
-
-    def test_worker_error_is_raised(self, monkeypatch):
-        usable_cores(monkeypatch, 2)
-        fill = photostatistics._fill_range
-
-        def second_worker_fails(kernel, batch, lo, hi):
-            if lo > 0:
-                raise RuntimeError("worker failed")
-            fill(kernel, batch, lo, hi)
-
-        monkeypatch.setattr(photostatistics, "_fill_range", second_worker_fails)
-        with pytest.raises(RuntimeError, match="worker failed"):
-            simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), n=2 * B)
-
     def test_memory_is_output_plus_blocks(self):
-        # the five output arrays take 7.3 MB at 2^20 shots; the block each
-        # worker fills adds its temporaries, 0.7 MB at 2^13 shots, for a
-        # peak of 8.7 MB on two threads (8.0 MB on one)
+        # the five output arrays take 7.3 MB at 2^20 shots; the block being
+        # filled adds its uniforms and temporaries, 0.7 MB at 2^13 shots,
+        # for a peak of 8.0 MB
         cfg = ExperimentConfig(repetitions=2**20, rng_seed=3)
         # numpy imports its random modules on first use, outside the trace
         simulate_batch(cfg, TRUTH, balanced_state(), n=1)
@@ -482,7 +382,7 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9.5e6
+        assert peak < 8.5e6
 
 
 def same_law(x, y, cells=20):
