@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,6 +204,11 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="repetitions"):
                 ExperimentConfig(repetitions=value)
 
+    def test_repetitions_bound_keeps_its_value(self):
+        # the bound comes from the 1405-entry CDF at the largest mean
+        assert photostatistics._poisson_cdf(MAX_MEAN_PHOTONS_TARGET).size == 1405
+        assert MAX_REPETITIONS == 6410817974904
+
     def test_default_split_is_symmetric(self):
         cfg = ExperimentConfig()
         assert cfg.p_store == pytest.approx(math.sqrt(0.2), rel=1e-15)
@@ -333,6 +339,19 @@ class TestKernelOracle:
         size = photostatistics._poisson_cdf(MAX_MEAN_PHOTONS_TARGET).size
         assert size < np.iinfo(photostatistics.COUNT_DTYPE).max
 
+    @pytest.mark.parametrize("lam", [1e-300, 0.9, 40.0, 1000.0, 3000.0])
+    def test_poisson_cdf_at_its_edges(self, lam):
+        # every CDF value and the floats next to it, and both ends of
+        # [0, 1), where a slip between the zero cut, the search and the
+        # oracle's inversion would show
+        cdf = photostatistics._poisson_cdf(lam)
+        u = np.concatenate([np.nextafter(cdf, 0.0), cdf, np.nextafter(cdf, 1.0),
+                            [0.0, 1.0 - 2.0**-53]])
+        u = np.clip(u, 0.0, 1.0 - 2.0**-53)
+        out = np.full(u.size, -1, dtype=np.int64)
+        photostatistics._poisson_counts([cdf], np.zeros(u.size, dtype=np.int8), u, out)
+        assert np.array_equal(out, oracle_poisson(u, lam))
+
     @pytest.mark.parametrize("lams", [
         [1e-300, 0.011, 0.106, 0.9, 40.0, 1000.0],
         [0.0, 0.011, 0.0, 0.9, 0.0, 1000.0],  # only some groups empty
@@ -357,10 +376,29 @@ class TestKernelOracle:
         assert np.array_equal(out, np.stack(expected, axis=1).ravel())
 
 
+def fed_uniforms(monkeypatch, rows):
+    """Make every block draw ``rows`` as the first columns of its five
+    rows of uniforms, the other columns 0.5."""
+    u = np.full((5, B), 0.5)
+    rows = np.asarray(rows, dtype=float)
+    u[:, :rows.shape[1]] = rows
+
+    class Fed:
+        def random(self, shape):
+            assert shape == u.shape
+            return u.copy()
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Fed())
+
+
+def concat_batches(batches):
+    return ShotBatch(*(np.concatenate([getattr(b, f) for b in batches]) for f in FIELDS))
+
+
 class TestBlocks:
     @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
-    @pytest.mark.parametrize("start_index", [0, 1, 2**40 + 1])
-    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 7,
+    @pytest.mark.parametrize("start_index", [0, 1, B - 1, B, 2**40 + 1])
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 7,
                                    2**15 - 1, 2**15 + 1])
     def test_matches_oracle_at_block_edges(self, n, start_index, basis_mode):
         cfg = ExperimentConfig(basis_mode=basis_mode, rng_seed=404)
@@ -368,6 +406,72 @@ class TestBlocks:
             simulate_batch(cfg, TRUTH, balanced_state(), start_index, n),
             oracle_batch(cfg, TRUTH, balanced_state(), start_index, n),
         )
+
+    @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+    def test_one_call_equals_one_call_per_block(self, basis_mode):
+        cfg = ExperimentConfig(repetitions=5 * B + 3, basis_mode=basis_mode,
+                               rng_seed=17)
+        whole = simulate_batch(cfg, TRUTH, balanced_state(), start_index=2)
+        edges = [2, B, 2 * B, 3 * B, 4 * B, 5 * B, 5 * B + 5]
+        parts = [simulate_batch(cfg, TRUTH, balanced_state(), a, b - a)
+                 for a, b in zip(edges, edges[1:])]
+        assert_same_batch(whole, concat_batches(parts))
+
+    @pytest.mark.parametrize("start_index, n, blocks", [
+        (0, 3 * B + 7, [0, 1, 2, 3]),
+        (B - 1, 2, [0, 1]),
+        (B, B, [1]),
+        (3 * B, 2 * B, [3, 4]),
+        (2**40 + 1, 1, [2**40 // B]),
+    ])
+    def test_draws_each_covering_block_once(self, monkeypatch, start_index, n,
+                                            blocks):
+        # whole blocks, each keyed [rng_seed, block], and no other
+        real, keys = np.random.default_rng, []
+
+        def spy(seed):
+            keys.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        simulate_batch(ExperimentConfig(rng_seed=77), TRUTH, balanced_state(),
+                       start_index, n)
+        assert keys == [[77, block] for block in blocks]
+
+    def test_no_shots(self):
+        batch = simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), 5, 0)
+        assert len(batch) == 0
+        assert_same_batch(batch, concat_batches([batch]))
+
+    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 1e-300, math.sqrt(0.2),
+                                   1.0 - math.exp(-0.6 * math.sqrt(0.2)),
+                                   1.0 - 2.0**-53, 1.0])
+    def test_storage_and_retrieval_at_their_edge(self, monkeypatch, p):
+        # a shot stores when u < p_stored and retrieves when also
+        # u' < p_retrieve: the floats next to p, and both ends of [0, 1)
+        u = np.array([0.0, np.nextafter(p, 0.0), p, np.nextafter(p, 1.0),
+                      1.0 - 2.0**-53])
+        u = np.minimum(u, 1.0 - 2.0**-53)
+        monkeypatch.setattr(ExperimentConfig, "p_stored", property(lambda self: p))
+        monkeypatch.setattr(ExperimentConfig, "p_retrieve", lambda self, t: p)
+        fed_uniforms(monkeypatch, [u, u[::-1], u, u, u])
+        batch = simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), 0, u.size)
+        assert np.array_equal(batch.control_stored, u < p)
+        assert np.array_equal(batch.control_retrieved, (u < p) & (u[::-1] < p))
+
+    def test_random_basis_at_its_edges(self, monkeypatch):
+        # each basis boundary k / 3 and the floats next to it, and both ends
+        # of [0, 1); the float 2/3 lies below the real 2/3, yet its product
+        # with 3 rounds up to 2
+        edges = [np.nextafter(k / 3, d) for k in (1, 2) for d in (0.0, 1.0)]
+        u = np.array([0.0, 1.0 - 2.0**-53, 1 / 3, 2 / 3] + edges)
+        half = np.full(u.size, 0.5)
+        fed_uniforms(monkeypatch, [half, half, u, half, half])
+        cfg = ExperimentConfig(basis_mode="random")
+        basis = simulate_batch(cfg, TRUTH, balanced_state(), 0, u.size).basis_index
+        assert np.array_equal(basis, np.minimum((u * 3.0).astype(np.int64), 2))
+        assert Fraction(2 / 3) < Fraction(2, 3)
+        assert basis[:4].tolist() == [0, 2, 1, 2]
 
     def test_memory_is_output_plus_blocks(self):
         # the five output arrays take 7.3 MB at 2^20 shots; the block being
