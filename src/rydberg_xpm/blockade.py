@@ -22,7 +22,8 @@ crossover with a fully blockaded slab of length 2 R_b.
 The susceptibility is proportional to the atomic density at every shift
 (through chi0; nothing else in chi depends on rho), so both phases are
 linear in rho: a density scan evaluates the two integrals once, at its
-largest density, and scales them.
+largest density, and scales them.  The module works on Python numbers and
+imports no numpy.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import HBAR
 from .errors import BlockadeClampWarning
 from .susceptibility import EITParams, MediumGeometry, chi, od_and_phase, shift_pole
+
+if TYPE_CHECKING:
+    from array import array
 
 # _blockaded_length sums a series below this side^6 / |q| (to 1e-14 with
 # _SERIES_TERMS terms) and takes the large-side limit above _LIMIT_ABOVE
@@ -83,10 +86,15 @@ def _blockaded_length(q: complex, side: float) -> complex:
     (pi / 3) q^(1/6) - q / (5 side^5) (to 1e-15).  Infinite q gives ``side``.
     """
     theta = cmath.phase(q)
-    with np.errstate(over="ignore"):  # beyond the float range: inf
-        scale = float(np.abs(q)) ** (1.0 / 6.0)
-        t = side / scale
-        t6 = float(np.float64(t) ** 6)
+    try:
+        scale = abs(q) ** (1.0 / 6.0)
+    except OverflowError:  # |q| beyond the float range
+        scale = math.inf
+    t = side / scale
+    try:
+        t6 = t**6
+    except OverflowError:  # t^6 beyond the float range
+        t6 = math.inf
     if t6 <= _SERIES_BELOW:
         w = -t6 * cmath.exp(-1j * theta)  # -side^6 / q
         return side * sum(w**n / (6 * n + 1) for n in range(_SERIES_TERMS))
@@ -131,7 +139,7 @@ def integrated_phase(
         raise ValueError(
             f"excitation_z = {z0} must lie within the medium [0, {length}]"
         )
-    chi_eit, chi_2l = chi(p, ds, shift=np.array([0.0, math.inf])).tolist()
+    chi_eit, chi_2l = chi(p, ds, shift=0.0), chi(p, ds, shift=math.inf)
     s_p = shift_pole(p, ds)
     # s_p = 0 where chi is chi_2L at every shift, and q = 0 where C6 = 0 or
     # K / s_p underflows (chi is chi_EIT)
@@ -178,23 +186,24 @@ class LinearFit:
 
 @dataclass(frozen=True)
 class DensityScan:
-    """Controlled phase versus atomic density, with its linear law."""
+    """Controlled phase versus atomic density, with its linear law.  Each
+    column is an array of doubles, 8 bytes a value, as in a numpy array."""
 
-    rho: np.ndarray  # [1/m^3]
-    phase0: np.ndarray
-    phase1: np.ndarray
-    controlled_phase: np.ndarray
+    rho: array  # [1/m^3]
+    phase0: array
+    phase1: array
+    controlled_phase: array
     fit_phase0: LinearFit
     fit_phase1: LinearFit
     fit_controlled: LinearFit
 
 
-def _linear_law(rho: np.ndarray, phase: np.ndarray, slope: float) -> LinearFit:
+def _linear_law(rho: array, phase: array, slope: float) -> LinearFit:
     """The law phase = slope * rho through the origin, and the largest
     residual of ``phase`` from it relative to the largest |phase|."""
-    resid = phase - slope * rho
-    scale = max(np.max(np.abs(phase)), 1e-300)
-    return LinearFit(float(slope), 0.0, float(np.max(np.abs(resid)) / scale))
+    resid = max(abs(y - slope * x) for x, y in zip(rho, phase))
+    scale = max(max(map(abs, phase)), 1e-300)
+    return LinearFit(float(slope), 0.0, float(resid / scale))
 
 
 def density_scan(
@@ -211,18 +220,21 @@ def density_scan(
     largest-density row is the integral itself, and each linear law's slope
     is that integral over rho_max.
     """
-    rho = np.asarray(rho_grid, dtype=float)
-    if rho.size == 0:
+    from array import array  # loaded only by the scan that builds arrays
+
+    rho = array("d", rho_grid)
+    if not rho:
         raise ValueError("rho_grid must be non-empty")
-    if np.any(rho <= 0):
+    if any(r <= 0 for r in rho):
         raise ValueError("rho_grid entries must be positive")
-    rho_max = float(rho.max())
+    rho_max = max(rho)
     p = replace(base, rho=rho_max)
     _, phi0 = integrated_phase(p, geom, blk, delta_s, 0)
     _, phi1 = integrated_phase(p, geom, blk, delta_s, 1)
-    scale = rho / rho_max
-    phase0, phase1 = phi0 * scale, phi1 * scale
-    ctrl = phase1 - phase0
+    scale = [r / rho_max for r in rho]
+    phase0 = array("d", (phi0 * s for s in scale))
+    phase1 = array("d", (phi1 * s for s in scale))
+    ctrl = array("d", (y1 - y0 for y0, y1 in zip(phase0, phase1)))
     return DensityScan(
         rho=rho,
         phase0=phase0,

@@ -27,8 +27,6 @@ import tempfile
 import warnings
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .blockade import (
     blockade_radius,
@@ -36,10 +34,9 @@ from .blockade import (
     hard_sphere_controlled_phase,
     integrated_phase,
 )
-from .config import RunConfig
+from .config import RunConfig, linspace
 from .constants import mhz_from_angular
 from .errors import ConfigError, NoEITFeatureError, RydbergXPMError
-from .fitting import fit_spectrum
 from .photostatistics import (
     retrieval_efficiency,
     retrieval_time_constant,
@@ -74,7 +71,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv(header: list[str], columns: list[np.ndarray]) -> str:
+def _csv(header: list[str], columns: list) -> str:
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(_fmt(v) for v in row))
@@ -95,7 +92,7 @@ def _serialize(name: str, out, cfg: RunConfig) -> str:
     if isinstance(out, tuple):
         header, columns = out
         for column, values in zip(header, columns):
-            if not np.isfinite(values).all():
+            if not all(map(math.isfinite, values)):
                 raise RydbergXPMError(f"{name}: column {column} holds a value "
                                       "that is not finite")
         return _csv(header, columns)
@@ -139,9 +136,8 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     table = (
         ["delta_s_mhz", "transmission_eit", "phase_eit_rad",
          "transmission_two_level", "phase_two_level_rad"],
-        [grid / (2e6 * math.pi), np.atleast_1d(eit.transmission),
-         np.atleast_1d(eit.phase), np.atleast_1d(ref.transmission),
-         np.atleast_1d(ref.phase)],
+        [[x / (2e6 * math.pi) for x in grid], eit.transmission.tolist(),
+         eit.phase.tolist(), ref.transmission.tolist(), ref.phase.tolist()],
     )
     delta_t = _width(cfg)
     od_op, phi_op = _uniform(cfg, params)
@@ -190,7 +186,8 @@ def cmd_density_scan(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     )
     table = (
         ["rho_cm3", "phase0_rad", "phase1_rad", "controlled_phase_rad"],
-        [scan.rho / 1e6, scan.phase0, scan.phase1, scan.controlled_phase],
+        [[rho / 1e6 for rho in scan.rho], scan.phase0, scan.phase1,
+         scan.controlled_phase],
     )
     def fit_dict(fit):
         return {
@@ -242,6 +239,8 @@ def cmd_tomography(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
 
 
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
+    from .fitting import fit_spectrum
+
     data = cfg.spectrum_data(args.input)
     fit_cfg = cfg.raw["fit"]
     result = fit_spectrum(
@@ -277,9 +276,9 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
 def cmd_retrieval(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     exp_cfg = cfg.experiment()
     g = cfg.raw["retrieval_grid"]
-    delays = np.linspace(0.0, g["max_us"] * 1e-6, g["points"])
-    eta = np.array([retrieval_efficiency(exp_cfg, t) for t in delays])
-    table = (["delay_us", "efficiency"], [delays * 1e6, eta])
+    delays = linspace(0.0, g["max_us"] * 1e-6, g["points"])
+    eta = [retrieval_efficiency(exp_cfg, t) for t in delays]
+    table = (["delay_us", "efficiency"], [[t * 1e6 for t in delays], eta])
     tau = retrieval_time_constant(exp_cfg)
     payload = {
         "efficiency_zero_delay": exp_cfg.storage_retrieval_efficiency_zero_delay,

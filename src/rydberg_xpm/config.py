@@ -16,10 +16,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 from dataclasses import replace
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from . import defaults
 from .blockade import BlockadeParams
@@ -31,9 +30,11 @@ from .constants import (
     c6_from_atomic_units,
 )
 from .errors import ConfigError
-from .fitting import FitParameters, SpectrumData
 from .photostatistics import MAX_MEAN_PHOTONS_TARGET, MAX_REPETITIONS, ExperimentConfig
 from .susceptibility import EITParams, MediumGeometry
+
+if TYPE_CHECKING:  # fitting loads numpy, so only the fit's builders import it
+    from .fitting import FitParameters, SpectrumData
 
 _POS = ("positive", lambda v: v > 0)
 _NONNEG = ("non-negative", lambda v: v >= 0)
@@ -165,6 +166,24 @@ def _merge(base: dict, override: dict) -> dict:
             for section, keys in base.items()}
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` >= 1 evenly spaced floats from ``start`` to ``stop``, with
+    the arithmetic of ``numpy.linspace``: point i is i * step + start, with
+    step = (stop - start) / (num - 1) (or (i / (num - 1)) * (stop - start)
+    where that step underflows to 0), and the last point is ``stop``."""
+    delta = stop - start
+    div = num - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 class RunConfig:
     """Validated, fully merged run configuration."""
 
@@ -235,24 +254,24 @@ class RunConfig:
             raise ConfigError("physics.delta_s_mhz", "overflows in rad/s")
         return delta_s
 
-    def spectrum_grid(self) -> np.ndarray:
+    def spectrum_grid(self) -> list[float]:
         return self._grid("spectrum_grid", "min_mhz", "max_mhz", angular_from_mhz(1.0))
 
-    def density_grid(self) -> np.ndarray:
+    def density_grid(self) -> list[float]:
         grid = self._grid("density_grid", "min_cm3", "max_cm3", 1e6)
         with _checked("density_grid.max_cm3"):  # the scan's medium
             replace(self.eit_params(), rho=grid[-1])
         return grid
 
-    def _grid(self, section: str, lo: str, hi: str, scale: float) -> np.ndarray:
+    def _grid(self, section: str, lo: str, hi: str, scale: float) -> list[float]:
         """``points`` values from ``lo`` to ``hi``, times ``scale``: finite and
         strictly increasing."""
         g = self.raw[section]
         if g["points"] > 1 and not g[hi] > g[lo]:
             raise ConfigError(f"{section}.{hi}", f"must exceed {lo}")
-        # float(): numpy keeps an int beyond int64 as a Python object
-        grid = scale * np.linspace(float(g[lo]), float(g[hi]), g["points"])
-        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        # float(): an int key is spaced in floats, as numpy.linspace spaces it
+        grid = [scale * x for x in linspace(float(g[lo]), float(g[hi]), g["points"])]
+        if not (all(map(math.isfinite, grid)) and all(map(operator.lt, grid, grid[1:]))):
             raise ConfigError(section, f"{g['points']} points from {lo} to {hi} "
                               "are not finite and strictly increasing in SI units")
         return grid
@@ -267,6 +286,8 @@ class RunConfig:
             return ExperimentConfig(delayed_at=delayed_at, delay=delay, **s)
 
     def fit_initial(self) -> FitParameters:
+        from .fitting import FitParameters
+
         f = self.raw["fit"]
         return FitParameters(
             od_res=f["initial_od_res"],
@@ -282,6 +303,10 @@ class RunConfig:
         that ``SpectrumData`` rejects are config errors naming the file (and
         the row's line); so are missing phase columns under
         ``fit.include_phase``."""
+        import numpy as np
+
+        from .fitting import SpectrumData
+
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.read().splitlines()

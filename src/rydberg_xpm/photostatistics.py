@@ -50,6 +50,9 @@ only through ``random()``, whose sequence Python keeps for an integer
 seed, and ``variates`` draws each variate exactly in O(1) expected time,
 by one rejection loop for both laws, so a tally's time and memory do not
 depend on the number of repetitions.
+
+numpy is imported only by the per-shot model (``simulate_batch``,
+``estimate_stokes`` and the Poisson CDF), so a tally runs without it.
 """
 
 from __future__ import annotations
@@ -57,13 +60,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import defaults
 from .errors import InsufficientStatisticsError
 from .polarization import (BASIS_NAMES, PolarizationState, StokesVector, apply_medium,
                            port_powers, stokes)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # simulate_batch draws its shots _BLOCK_SHOTS at a time, and _basis_sums
 # bins in slices of the same size.
@@ -75,8 +80,8 @@ MAX_MEAN_PHOTONS_TARGET = 1000.0
 # ShotBatch dtypes: a basis is 0, 1 or 2, and a count is below the size of
 # the largest Poisson CDF, 1405 entries at MAX_MEAN_PHOTONS_TARGET.  Both
 # are signed, so that a difference of two counts cannot wrap.
-BASIS_DTYPE = np.int8
-COUNT_DTYPE = np.int16
+BASIS_DTYPE = "int8"
+COUNT_DTYPE = "int16"
 
 
 @dataclass(frozen=True)
@@ -186,21 +191,28 @@ class CountSummary:
     n_total: int
 
 
+def _cdf_size(lam: float) -> int:
+    """The entries of the Poisson(lam) CDF table, for k = 0 up to
+    lam + 12 sqrt(lam) + 25, or only k = 0 at lam = 0."""
+    return int(lam + 12.0 * math.sqrt(lam) + 25.0) + 1 if lam > 0.0 else 1
+
+
 def _poisson_cdf(lam: float) -> np.ndarray:
-    """The Poisson(lam) CDF up to lam + 12 sqrt(lam) + 25: the number of
+    """The Poisson(lam) CDF over ``_cdf_size(lam)`` counts: the number of
     entries below a uniform u is its CDF-inversion count.  [1.0] for
     lam = 0, whose count is always 0."""
+    import numpy as np
+
     if lam == 0.0:
         return np.ones(1)
-    kmax = int(lam + 12.0 * math.sqrt(lam) + 25.0)
-    k = np.arange(1, kmax + 1, dtype=float)
+    k = np.arange(1, _cdf_size(lam), dtype=float)
     log_pmf = np.concatenate(([0.0], np.cumsum(np.log(lam / k)))) - lam
     return np.cumsum(np.exp(log_pmf))
 
 
 # A count is below the size of the largest Poisson CDF, so the count sums
 # of this many shots stay below 2^53, where float sums are exact.
-MAX_REPETITIONS = (2**53 - 1) // _poisson_cdf(MAX_MEAN_PHOTONS_TARGET).size
+MAX_REPETITIONS = (2**53 - 1) // _cdf_size(MAX_MEAN_PHOTONS_TARGET)
 
 
 def output_state(
@@ -261,6 +273,8 @@ def simulate_batch(
     and with a stored control excitation.  The shots are drawn one block at
     a time (module docstring).
     """
+    import numpy as np
+
     if n is None:
         n = config.repetitions
     p_stored = config.p_stored
@@ -300,6 +314,8 @@ def _poisson_counts(cdfs, group: np.ndarray, u: np.ndarray, out: np.ndarray) -> 
     """One port's Poisson counts into ``out``, by CDF inversion of u with
     the CDF of each shot's group: 0 where u is at most cdf[0], and a
     ``searchsorted`` of the remaining shots, one group at a time."""
+    import numpy as np
+
     out.fill(0)
     hit = np.flatnonzero(u > np.take([cdf[0] for cdf in cdfs], group))
     g = group[hit]
@@ -313,6 +329,8 @@ def _basis_sums(batch: ShotBatch, postselect: bool) -> tuple[np.ndarray, int]:
     number of shots kept, over all shots or the retrieved ones.  Only the
     kept shots that count a photon are binned, _BLOCK_SHOTS at a time: the
     rest add nothing."""
+    import numpy as np
+
     # The float sums are exact: a batch of at most MAX_REPETITIONS shots
     # sums to below 2^53.
     sums = np.zeros((len(BASIS_NAMES), 2))

@@ -16,18 +16,31 @@ transmission is exp(-OD).
 Sign conventions: Im(chi) >= 0 is absorption (passive medium); positive
 detunings are blue.  The medium is treated as axially homogeneous (box-like
 trap) and radial structure is ignored.
+
+D is written once, for numbers and arrays alike, in the functions of a
+namespace ``xp``: numpy for arrays, and for plain Python numbers
+``_Numbers``, which has numpy's names and numpy's bits (its division is
+numpy's complex128 formula, ``_quotient``).  So ``chi`` at Python numbers
+imports no numpy, and gives the bits of the same detuning in an array.
+numpy is imported only where an array is built: by ``spectrum``,
+``transmission`` and the width search.
 """
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import math
+import operator
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import EPSILON_0, HBAR, K_S
 from .errors import ExactEITWarning, NoEITFeatureError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # width search: the feature must rise this far above the background; the
 # peak and the half-height edges are located to these fractions of gamma_e
@@ -115,21 +128,83 @@ def chi0(params: EITParams) -> float:
     return 2.0 * params.rho * params.d_eg**2 / (EPSILON_0 * HBAR * params.gamma_e)
 
 
+def _quotient(a: complex, b: complex) -> complex:
+    """a / b as numpy divides complex128 numbers: Smith's method with a
+    reciprocal, in floats.  CPython's complex ``/`` rounds differently in
+    the last bit, and raises at b = 0 where numpy gives inf or NaN."""
+    a, b = complex(a), complex(b)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if abs(br) >= abs(bi):
+        if br == 0.0:  # and bi == 0: x / +0.0 is x * inf
+            return complex(ar * math.inf, ai * math.inf)
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    if bi == 0.0:  # br is NaN
+        return complex(math.nan, math.nan)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
+class _Numbers:
+    """The numpy functions that D uses, for plain Python numbers: on them
+    chi imports no numpy and gives numpy's bits."""
+
+    isinf = staticmethod(math.isinf)
+    isfinite = staticmethod(cmath.isfinite)
+    logical_not = staticmethod(operator.not_)
+    any = staticmethod(bool)
+    divide = staticmethod(_quotient)
+
+    @staticmethod
+    def asarray(x, dtype):
+        return dtype(x)
+
+    @staticmethod
+    def isscalar(x) -> bool:
+        return True
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+    @staticmethod
+    def errstate(**kwargs):  # float arithmetic sets no numpy error state
+        return contextlib.nullcontext()
+
+
+_PLAIN_NUMBERS = frozenset((int, float, complex))
+
+
+def _namespace(*operands):
+    """``_Numbers`` when every operand is a plain Python number, else numpy
+    (for arrays and numpy scalars alike)."""
+    if _PLAIN_NUMBERS.issuperset(map(type, operands)):
+        return _Numbers
+    import numpy as np
+
+    return np
+
+
 def _denominator(gamma_e, gamma_rg, omega_c, delta_c, delta_s, shift=0.0):
     """chi's denominator D at detuning(s) ``delta_s``, broadcast against
-    ``shift``.  An infinite shift (r^6 underflowing to 0 included) or no
-    coupling beam removes the coupling term.  At an exact lossless EIT point
-    (gamma_rg = 0 and Delta_c + Delta_s + shift = 0 with Omega_c > 0), or
-    where the coupling term overflows, D is infinite (chi = 0), flagged with
+    ``shift``, in the arithmetic of ``_namespace``.  An infinite shift (r^6
+    underflowing to 0 included) or no coupling beam removes the coupling
+    term.  At an exact lossless EIT point (gamma_rg = 0 and
+    Delta_c + Delta_s + shift = 0 with Omega_c > 0), or where the coupling
+    term overflows, D is infinite (chi = 0), flagged with
     :class:`ExactEITWarning`."""
-    ds = np.asarray(delta_s, dtype=float)
-    with np.errstate(all="ignore"):
+    xp = _namespace(gamma_e, gamma_rg, omega_c, delta_c, delta_s, shift)
+    ds = xp.asarray(delta_s, dtype=float)
+    with xp.errstate(all="ignore"):
         two_photon = delta_c + shift + ds
-        off = np.isinf(two_photon) | (omega_c == 0.0)
-        coupling = omega_c**2 / np.where(off, 1.0, gamma_rg - 2j * two_photon)
-        exact = ~(off | np.isfinite(coupling))
-        den = gamma_e - 2j * ds + np.where(off, 0.0, np.where(exact, np.inf, coupling))
-    if np.any(exact):
+        off = xp.isinf(two_photon) | (omega_c == 0.0)
+        coupling = xp.divide(omega_c**2, xp.where(off, 1.0, gamma_rg - 2j * two_photon))
+        exact = xp.logical_not(off | xp.isfinite(coupling))
+        den = gamma_e - 2j * ds + xp.where(
+            off, 0j, xp.where(exact, complex(math.inf), coupling))
+    if xp.any(exact):
         warnings.warn("susceptibility evaluated at an exact lossless EIT point; "
                       "returning the analytic limit chi = 0", ExactEITWarning,
                       stacklevel=3)
@@ -145,18 +220,19 @@ def chi(params: EITParams, delta_s, shift=0.0):
     ``delta_s``.  Scalars give a complex scalar, arrays a matching array.
     The limits are those of ``_denominator``.
     """
-    scalar = np.isscalar(delta_s) and np.isscalar(shift)
     den = _denominator(params.gamma_e, params.gamma_rg, params.omega_c,
                        params.delta_c, delta_s, shift)
-    with np.errstate(invalid="ignore"):  # chi0 Gamma_e overflowing: NaN
-        out = 1j * chi0(params) * params.gamma_e / den
-    return complex(out[()]) if scalar else out
+    xp = _namespace(den)
+    with xp.errstate(invalid="ignore"):  # chi0 Gamma_e overflowing: NaN
+        out = xp.divide(1j * chi0(params) * params.gamma_e, den)
+    return complex(out) if xp.isscalar(delta_s) and xp.isscalar(shift) else out
 
 
-def normalized_chi(gamma_e, gamma_rg, omega_c, delta_c, delta_s) -> np.ndarray:
+def normalized_chi(gamma_e, gamma_rg, omega_c, delta_c, delta_s):
     """chi / chi0 = i Gamma_e / D at detuning(s) ``delta_s`` [rad/s], with
     chi's limits and no density or dipole moment; all rates angular."""
-    return 1j * gamma_e / _denominator(gamma_e, gamma_rg, omega_c, delta_c, delta_s)
+    den = _denominator(gamma_e, gamma_rg, omega_c, delta_c, delta_s)
+    return _namespace(den).divide(1j * gamma_e, den)
 
 
 def shift_pole(params: EITParams, delta_s: float) -> complex:
@@ -183,17 +259,21 @@ def two_level(params: EITParams) -> EITParams:
 def od_and_phase(chi_value, geom: MediumGeometry):
     """Optical depth k_s L Im(chi) and phase shift k_s L Re(chi) / 2."""
     kl = geom.k_s * geom.length
-    return kl * np.imag(chi_value), kl * np.real(chi_value) / 2.0
+    return kl * chi_value.imag, kl * chi_value.real / 2.0
 
 
 def transmission(od):
     """Intensity transmission exp(-OD); underflows cleanly to 0 at huge OD."""
+    import numpy as np
+
     with np.errstate(under="ignore"):
         return np.exp(-np.asarray(od, dtype=float))[()]
 
 
 def spectrum(params: EITParams, geom: MediumGeometry, delta_s_grid) -> SpectrumTable:
     """Transmission and phase over a strictly increasing detuning grid."""
+    import numpy as np
+
     ds = np.atleast_1d(np.asarray(delta_s_grid, dtype=float))
     if ds.size == 0:
         raise ValueError("delta_s_grid must be non-empty")
@@ -206,6 +286,8 @@ def spectrum(params: EITParams, geom: MediumGeometry, delta_s_grid) -> SpectrumT
 def _feature_height(params: EITParams, geom: MediumGeometry, ds):
     """Transmission height of the EIT feature above the two-level background
     at detuning(s) ``ds``: one chi call, at shifts 0 and infinity."""
+    import numpy as np
+
     shift = np.array([0.0, math.inf]).reshape((2,) + (1,) * np.ndim(ds))
     t_eit, t_bg = transmission(od_and_phase(chi(params, ds, shift), geom)[0])
     return t_eit - t_bg
@@ -241,6 +323,8 @@ def transmission_fwhm(params: EITParams, geom: MediumGeometry) -> float:
     Raises NoEITFeatureError when the coupling beam is off or the peak does
     not exceed the background by 1e-6.
     """
+    import numpy as np
+
     if params.omega_c == 0.0:
         raise NoEITFeatureError("no EIT feature: omega_c = 0")
     # the transparency feature lies between the dressed absorption lines at

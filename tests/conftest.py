@@ -1,3 +1,5 @@
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +33,11 @@ def blk():
 @pytest.fixture
 def ds_op():
     return RunConfig().delta_s
+
+
+def complex_bits(z: complex) -> bytes:
+    """The bits of both parts of ``z``, for comparisons bit for bit."""
+    return struct.pack("<dd", z.real, z.imag)
 
 
 def angle_diff(a: float, b: float) -> float:
@@ -81,9 +88,12 @@ def reference_od_phase(params, geom, blk, delta_s) -> tuple[float, float]:
     return geom.k_s * total.imag, geom.k_s * total.real / 2.0
 
 
-def assert_matches_reference(got, want, geom, rtol: float):
-    """(OD, phase) ``got`` within ``rtol`` of ``want``, relative to each
-    value or, for a value near 0, to the medium's own scale."""
-    floor = 1e-12 * geom.k_s * geom.length
-    for g, w in zip(got, want):
-        assert abs(g - w) <= rtol * max(abs(w), floor)
+def assert_matches_reference(got, want, rtol: float):
+    """(OD, phase) ``got`` within ``rtol`` of ``want``, both relative to the
+    modulus of the integral they come from.  OD is k_s times its imaginary
+    part and the phase half k_s times its real part, so that modulus is
+    hypot(OD, 2 phase) in OD units, and half of it in phase units: a part
+    near 0 carries the rounding of the whole complex integral."""
+    modulus = math.hypot(want[0], 2.0 * want[1])
+    assert abs(got[0] - want[0]) <= rtol * modulus
+    assert abs(got[1] - want[1]) <= rtol * modulus / 2.0

@@ -225,7 +225,7 @@ class TestClosedFormRange:
             warnings.simplefilter("error")  # a RuntimeWarning among others
             got = integrated_phase(params, geom, blk, cfg.delta_s, 1)
         want = reference_od_phase(params, geom, blk, cfg.delta_s)
-        assert_matches_reference(got, want, geom, rtol=1e-9)
+        assert_matches_reference(got, want, rtol=1e-9)
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, -2.0, 3.0, -3.1])
     @pytest.mark.parametrize("switch, ratio, moved", [("_SERIES_BELOW", 0.0999, 0.09),

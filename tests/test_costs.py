@@ -1,0 +1,111 @@
+"""Cost counters that do not depend on the host: what a fresh process
+loads, and how many model evaluations a fit makes.
+
+Each subcommand runs in a fresh interpreter, because the tests load numpy
+and scipy here.  ``tomography``, ``retrieval`` and ``density-scan`` handle
+a few Python numbers each, so they must run without ever importing numpy.
+Every module count is an upper bound at the value measured when it was
+last lowered (CPython 3.11, numpy 2.4): a change that lowers a count lowers
+its bound.  Other counters: 72 ``chi`` calls per default width search
+(``tests/test_susceptibility.py``), at most 600 uniforms per tally
+(``TestTally`` in ``tests/test_photostatistics.py``), and the tracemalloc
+peaks of the per-shot model pinned there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from rydberg_xpm import fitting
+from rydberg_xpm.cli import cmd_spectrum, main
+from rydberg_xpm.config import RunConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# a fresh interpreter: the module count after ``import rydberg_xpm.cli``,
+# then the exit code and module count after the subcommand in argv
+FRESH_RUN = """
+import json, sys
+import rydberg_xpm.cli as cli
+imported = len(sys.modules)
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "imported": imported,
+                  "modules": len(sys.modules), "numpy": "numpy" in sys.modules}))
+"""
+
+IMPORT_MODULES = 133
+# subcommand -> modules loaded once it has run
+MODULES = {
+    "spectrum": 232,
+    "blockade-phase": 232,
+    "density-scan": 136,
+    "tomography": 136,
+    "fit": 233,
+    "retrieval": 135,
+}
+NUMPY_FREE = ("density-scan", "tomography", "retrieval")
+# 6 iterations of 4 central differences (8 calls) and a step, plus the start
+MODEL_EVALUATIONS_PER_FIT = 54
+
+
+def fresh_run(argv: list) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def fit_input(tmp_path_factory):
+    """The default spectrum as a fit input, sigma 0.01."""
+    header, columns = cmd_spectrum(RunConfig(), None)["spectrum.csv"]
+    path = tmp_path_factory.mktemp("fit") / "input.csv"
+    rows = zip(columns[header.index("delta_s_mhz")],
+               columns[header.index("transmission_eit")])
+    path.write_text("delta_s_mhz,transmission,sigma\n"
+                    + "".join(f"{float(d)!r},{float(t)!r},0.01\n" for d, t in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(MODULES))
+def test_subcommand_module_counts(tmp_path, fit_input, command):
+    argv = [command, "--output-dir", str(tmp_path)]
+    if command == "fit":
+        argv += ["--input", fit_input]
+    run = fresh_run(argv)
+    assert run["code"] == 0
+    assert run["imported"] <= IMPORT_MODULES
+    assert run["modules"] <= MODULES[command]
+    assert run["numpy"] is (command not in NUMPY_FREE)
+
+
+@pytest.mark.parametrize("postselect", [True, False])
+@pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+def test_tomography_never_imports_numpy(tmp_path, basis_mode, postselect):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"statistics": {"basis_mode": basis_mode,
+                                                 "postselect": postselect}}))
+    run = fresh_run(["tomography", "--config", str(config),
+                     "--output-dir", str(tmp_path)])
+    assert run["code"] == 0
+    assert run["numpy"] is False
+    assert run["modules"] <= MODULES["tomography"]
+
+
+def test_model_evaluations_per_fit(monkeypatch, tmp_path, fit_input):
+    # the default fit of the default spectrum: each model evaluation is one
+    # normalized_chi call
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return normalized_chi(*args)
+
+    normalized_chi = fitting.normalized_chi
+    monkeypatch.setattr(fitting, "normalized_chi", counting)
+    assert main(["fit", "--input", fit_input, "--output-dir", str(tmp_path)]) == 0
+    assert len(calls) <= MODEL_EVALUATIONS_PER_FIT

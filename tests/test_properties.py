@@ -9,16 +9,17 @@ invariant of the model.  The settings are those of
 """
 
 import math
+import struct
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rydberg_xpm.blockade import density_scan, integrated_phase
-from rydberg_xpm.config import _TABLE, RunConfig
+from rydberg_xpm.config import _TABLE, RunConfig, linspace
 from rydberg_xpm.errors import (
     ExactEITWarning,
     InsufficientStatisticsError,
@@ -28,7 +29,8 @@ from rydberg_xpm.photostatistics import MAX_REPETITIONS, tally_stokes, truth_sto
 from rydberg_xpm.polarization import BASIS_NAMES, balanced_input_state
 from rydberg_xpm.susceptibility import chi
 
-from conftest import angle_diff, assert_matches_reference, reference_od_phase
+from conftest import (angle_diff, assert_matches_reference, complex_bits,
+                      reference_od_phase)
 
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
@@ -88,6 +90,73 @@ def test_susceptibility_is_passive(cfg):
 
 
 @PROPERTY
+@given(start=st.floats(allow_nan=False, allow_infinity=False),
+       stop=st.floats(allow_nan=False, allow_infinity=False),
+       num=st.integers(1, 50))
+@example(start=0.0, stop=1e-320, num=7)  # a step that underflows to 0
+@example(start=-1.7e308, stop=1.7e308, num=3)  # stop - start overflows
+@example(start=-0.0, stop=1.0, num=1)
+def test_linspace_is_numpys(start, stop, num):
+    # the config grids and the retrieval delays have numpy.linspace's bits
+    with np.errstate(all="ignore"):
+        want = np.linspace(start, stop, num)
+    got = linspace(start, stop, num)
+    assert struct.pack(f"<{num}d", *got) == want.astype("<f8").tobytes()
+
+
+def recorded_chi(params, delta_s, shift):
+    """chi and the (class, message) of each warning it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = chi(params, delta_s, shift)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+# detunings and shifts, given a medium: on and off its two-photon
+# resonance, zero, infinite, and the smallest subnormal, which makes the
+# coupling term overflow at gamma_rg = 0 and Delta_c + Delta_s = 0
+DETUNINGS = {
+    "operating": lambda cfg, params, x: cfg.delta_s,
+    "two-photon": lambda cfg, params, x: -params.delta_c,
+    "scaled": lambda cfg, params, x: x * params.gamma_e,
+}
+SHIFTS = {
+    "zero": lambda params, ds, x: 0.0,
+    "infinite": lambda params, ds, x: math.inf,
+    "two-photon": lambda params, ds, x: -(params.delta_c + ds),
+    "subnormal": lambda params, ds, x: 5e-324,
+    "scaled": lambda params, ds, x: x * params.gamma_e,
+}
+
+
+@PROPERTY
+@given(cfg=medium_configs(), detuning=st.sampled_from(sorted(DETUNINGS)),
+       shift=st.sampled_from(sorted(SHIFTS)),
+       x=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300)))
+@example(cfg=RunConfig({"physics": {"omega_c_mhz": 0.0}}), detuning="two-photon",
+         shift="zero", x=0.0)
+@example(cfg=RunConfig(), detuning="operating", shift="infinite", x=0.0)
+@example(cfg=RunConfig({"physics": {"gamma_rg_mhz": 0.0}}), detuning="two-photon",
+         shift="zero", x=0.0)
+@example(cfg=RunConfig({"physics": {"gamma_rg_mhz": 0.0, "delta_c_mhz": 0.0}}),
+         detuning="two-photon", shift="subnormal", x=0.0)
+def test_chi_of_numbers_is_chi_of_arrays(cfg, detuning, shift, x):
+    # chi at a detuning and a shift given as numbers has the bits and the
+    # warnings of chi with either of them in a one-element array: D and its
+    # limits are written once for both
+    (params,) = built(cfg, "eit_params")
+    ds = DETUNINGS[detuning](cfg, params, x)
+    s = SHIFTS[shift](params, ds, x)
+    number, warned = recorded_chi(params, ds, s)
+    assert type(number) is complex
+    for args in ((np.array([ds]), s), (ds, np.array([s]))):
+        array, array_warned = recorded_chi(params, *args)
+        assert array.shape == (1,)
+        assert complex_bits(array[0]) == complex_bits(number)
+        assert array_warned == warned
+
+
+@PROPERTY
 @given(cfg=medium_configs(),
        fractions=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4, unique=True))
 def test_density_scan_is_the_per_point_integrals(cfg, fractions):
@@ -108,6 +177,16 @@ def test_density_scan_is_the_per_point_integrals(cfg, fractions):
 
 @PROPERTY
 @given(cfg=medium_configs())
+# |chi| >> 1 with Re chi ~ 0: a phase of 2.5e-12 at an OD of 1.4e6, which
+# rounding moves by 0.2 %, or 3e-21 of the integral's modulus
+@example(cfg=RunConfig({
+    "physics": {"excited_lifetime_ns": 4.2, "gamma_rg_mhz": 0.00515,
+                "omega_c_mhz": 0.075, "delta_c_mhz": 0.769, "delta_s_mhz": 0,
+                "density_cm3": 2.3e12, "dipole_moment_cm": 5.7e-27,
+                "signal_wavelength_nm": 2.25},
+    "geometry": {"length_um": 0.72, "excitation_z_um": 0.263},
+    "blockade": {"c6_atomic_units": 1.19e26, "sign_reversed": True},
+}))
 def test_blockade_integral_matches_the_reference(cfg):
     # the closed-form n = 1 integral against a node-doubled quadrature
     params, geom, blk = built(cfg, "eit_params", "geometry", "blockade")
@@ -115,7 +194,7 @@ def test_blockade_integral_matches_the_reference(cfg):
         warnings.simplefilter("ignore", ExactEITWarning)
         got = integrated_phase(params, geom, blk, cfg.delta_s, 1)
         want = reference_od_phase(params, geom, blk, cfg.delta_s)
-    assert_matches_reference(got, want, geom, rtol=1e-6)
+    assert_matches_reference(got, want, rtol=1e-6)
 
 
 STATISTICS = ("mean_photons_control", "mean_photons_target", "detection_efficiency",

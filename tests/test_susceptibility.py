@@ -1,3 +1,5 @@
+import cmath
+import math
 import warnings
 from dataclasses import replace
 
@@ -22,6 +24,8 @@ from rydberg_xpm.susceptibility import (
     transmission_fwhm,
     two_level,
 )
+
+from conftest import complex_bits
 
 # frozen from an independent 50-digit evaluation of the closed-form expression
 CHI0_REF = 0.064367135022858280
@@ -345,3 +349,31 @@ def test_infinite_optical_path_rejected(geom):
 def test_non_finite_derived_quantities_rejected(params, field, value, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         replace(params, **{field: value})
+
+
+# the parts of the divisions' operands: signed zeros, subnormals, the
+# smallest normal, the largest float, infinities, NaN, and numbers whose
+# ratios lie near either end of the float range
+QUOTIENT_PARTS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, math.inf,
+                  -math.inf, math.nan, 1.0, -3.0, 1e-300, 1e300, 0.7)
+
+
+def test_quotient_of_numbers_is_numpys():
+    # _quotient divides two numbers as numpy divides complex128 arrays,
+    # bit for bit, also where CPython's "/" rounds differently or raises;
+    # |re| = |im| pairs (1 + 1j, -3 - 3j, ...) pick the first of Smith's
+    # two branches
+    values = [complex(re, im) for re in QUOTIENT_PARTS for im in QUOTIENT_PARTS]
+    a = np.repeat(values, len(values))
+    b = np.tile(values, len(values))
+    with np.errstate(all="ignore"):
+        want = a / b
+    for x, y, w in zip(a.tolist(), b.tolist(), want.tolist()):
+        got = susceptibility._quotient(x, y)
+        assert type(got) is complex
+        if cmath.isnan(w):  # which part, not the NaN's sign bit
+            assert (math.isnan(got.real), math.isnan(got.imag)) == (
+                math.isnan(w.real), math.isnan(w.imag)), (x, y)
+        else:
+            assert complex_bits(got) == complex_bits(w), (x, y)
