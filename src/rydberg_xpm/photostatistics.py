@@ -15,23 +15,19 @@ The per-shot model ``simulate_batch`` draws its shots in blocks of
 _BLOCK_SHOTS: shot i is column i % _BLOCK_SHOTS of block i // _BLOCK_SHOTS,
 whose five rows of uniforms come from the numpy Generator seeded
 ``[rng_seed, block]``.  Rows 0 to 4 decide storage, retrieval, the random
-basis (floor(3u), capped at 2; round-robin bases are i % 3) and the counts
-of ports k and l.  A call draws every block it touches whole and keeps the
-columns it needs, so any chunking or start index yields bit-identical
-shots; a single shot i is ``simulate_batch(..., start_index=i, n=1)``.
-A count is drawn by CDF inversion, the number of Poisson CDF values below
-u; it is 0 exactly when u is at most cdf[0] = e^-lam, which holds for most
-shots at a mean below one photon, so a port's counts are zeroed and only
-the shots above that cut are searched, one (stored, basis) group at a time.
-
-``simulate_batch`` allocates its five output arrays once and fills them one
-block at a time on the calling thread, so its temporaries are those of a
-block, not of the batch: memory is O(output + 1 block).  A shot takes 7 bytes
-of output: an int8 basis (BASIS_DTYPE), two bools and two int16 counts
-(COUNT_DTYPE), which hold every count, since a count is below the size of
-the largest Poisson CDF (1405 entries at MAX_MEAN_PHOTONS_TARGET).
+basis (floor(3u), capped at 2; round-robin bases are i % 3, and skip row 2
+unread) and the counts of ports k and l.  A call draws every block it
+touches whole and keeps the columns it needs, so any chunking or start
+index yields bit-identical shots.  A count is the number of Poisson CDF
+values below u.  Most shots count nothing, so a block looks only at the
+shots where u passes either port's smallest cdf[0], tells counts 0, 1 and
+more apart by each group's cdf[0] and cdf[1], and finds the rest with one
+``searchsorted`` (``_count_table``).  Its memory is O(output + 1 block).
+A shot takes 7 bytes: an int8 basis (BASIS_DTYPE), two bools and two int16
+counts (COUNT_DTYPE), which hold every count, since a count is below the
+size of the largest Poisson CDF (1405 entries at MAX_MEAN_PHOTONS_TARGET).
 ``estimate_stokes`` bins only the kept shots that count a photon,
-_BLOCK_SHOTS shots at a time, so its temporaries are those of a slice too.
+_SLICE_SHOTS shots at a time, so its temporaries are those of a slice.
 
 ``tally_stokes``, which ``rydberg-xpm tomography`` runs, simulates no
 shots: the estimate reads only, per basis b, the shots N_b, the stored
@@ -71,8 +67,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 # simulate_batch draws its shots _BLOCK_SHOTS at a time, and _basis_sums
-# bins in slices of the same size.
+# bins them _SLICE_SHOTS at a time.
 _BLOCK_SHOTS = 2**13
+_SLICE_SHOTS = 2**16
 # The Poisson CDF and its temporaries grow linearly with the mean count
 # (321 MB at a mean of 10^7), so the mean is bounded far below where it
 # would fill memory.
@@ -113,14 +110,9 @@ class ExperimentConfig:
         if not 0 <= self.mean_photons_control < math.inf:
             raise ValueError("mean_photons_control must be finite and >= 0")
         if not 0 <= self.mean_photons_target <= MAX_MEAN_PHOTONS_TARGET:
-            raise ValueError(
-                f"mean_photons_target must be in [0, {MAX_MEAN_PHOTONS_TARGET:g}]"
-            )
-        for name in (
-            "detection_efficiency",
-            "storage_retrieval_efficiency_zero_delay",
-            "storage_retrieval_efficiency_delayed",
-        ):
+            raise ValueError(f"mean_photons_target must be in [0, {MAX_MEAN_PHOTONS_TARGET:g}]")
+        for name in ("detection_efficiency", "storage_retrieval_efficiency_zero_delay",
+                     "storage_retrieval_efficiency_delayed"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
@@ -215,25 +207,20 @@ def _poisson_cdf(lam: float) -> np.ndarray:
 MAX_REPETITIONS = (2**53 - 1) // _cdf_size(MAX_MEAN_PHOTONS_TARGET)
 
 
-def output_state(
-    config: ExperimentConfig, od: float, phi: float, input_state: PolarizationState
-) -> PolarizationState:
+def output_state(config: ExperimentConfig, od: float, phi: float,
+                 input_state: PolarizationState) -> PolarizationState:
     """Normalized input propagated through the medium (od, phi)."""
-    return apply_medium(
-        input_state.normalized(), od, phi, config.sigma_plus_suppression
-    )
+    return apply_medium(input_state.normalized(), od, phi, config.sigma_plus_suppression)
 
 
-def truth_stokes(
-    config: ExperimentConfig, od: float, phi: float, input_state: PolarizationState
-) -> StokesVector:
+def truth_stokes(config: ExperimentConfig, od: float, phi: float,
+                 input_state: PolarizationState) -> StokesVector:
     """Stokes vector the estimator converges to for medium response (od, phi)."""
     return stokes(output_state(config, od, phi, input_state), config.coherence_factor)
 
 
-def _port_lambdas(
-    config: ExperimentConfig, truth, input_state: PolarizationState
-) -> list[tuple[float, float]]:
+def _port_lambdas(config: ExperimentConfig, truth,
+                  input_state: PolarizationState) -> list[tuple[float, float]]:
     """Mean detected counts (port k, port l) of each shot group, indexed
     by group = basis + 3 stored."""
     od0, phi0, od1, phi1 = truth
@@ -260,90 +247,102 @@ class ShotBatch:
         return self.basis_index.size
 
 
-def simulate_batch(
-    config: ExperimentConfig,
-    truth,
-    input_state: PolarizationState,
-    start_index: int = 0,
-    n: int | None = None,
-) -> ShotBatch:
-    """Simulate shots [start_index, start_index + n) of the experiment.
-
-    truth is the tuple (od0, phi0, od1, phi1) of medium responses without
-    and with a stored control excitation.  The shots are drawn one block at
-    a time (module docstring).
-    """
+def simulate_batch(config: ExperimentConfig, truth, input_state: PolarizationState,
+                   start_index: int = 0, n: int | None = None) -> ShotBatch:
+    """Simulate shots [start_index, start_index + n) of the experiment, one
+    block at a time (module docstring).  truth is the tuple (od0, phi0, od1,
+    phi1) of medium responses without and with a stored control excitation."""
     import numpy as np
 
     if n is None:
         n = config.repetitions
     p_stored = config.p_stored
     p_retrieved = config.p_retrieve(config.delay)
-    cdfs = [[_poisson_cdf(lam) for lam in port]
-            for port in zip(*_port_lambdas(config, truth, input_state))]
-    batch = ShotBatch(
-        basis_index=np.empty(n, dtype=BASIS_DTYPE),
-        control_stored=np.empty(n, dtype=bool),
-        control_retrieved=np.empty(n, dtype=bool),
-        counts_k=np.empty(n, dtype=COUNT_DTYPE),
-        counts_l=np.empty(n, dtype=COUNT_DTYPE),
-    )
+    round_robin = config.basis_mode == "round_robin"
+    table = _count_table(_port_lambdas(config, truth, input_state))
+    # the counts are zeroed, and only the shots that count are written
+    fields = [np.empty(n, dtype=dtype) for dtype in (BASIS_DTYPE, bool, bool)]
+    fields += [np.zeros(n, dtype=COUNT_DTYPE) for port in range(2)]
+    # one block's uniforms, reused by every block; round-robin bases are a
+    # slice of the pattern 0, 1, 2, 0, ...
+    u = np.empty((5, _BLOCK_SHOTS))
+    pattern = (np.arange(_BLOCK_SHOTS + 2) % 3).astype(BASIS_DTYPE)
     end = start_index + n
     for block in range(start_index // _BLOCK_SHOTS, -(-end // _BLOCK_SHOTS)):
         first = block * _BLOCK_SHOTS
+        rng = np.random.default_rng([config.rng_seed, block])
+        rng.random(out=u[:2] if round_robin else u)
+        if round_robin:  # row 2, the random basis, is skipped unread
+            rng.bit_generator.advance(_BLOCK_SHOTS)
+            rng.random(out=u[3:])
         a, b = max(start_index, first), min(end, first + _BLOCK_SHOTS)
-        u = np.random.default_rng([config.rng_seed, block]).random((5, _BLOCK_SHOTS))
-        u = u[:, a - first:b - first]
-        rows = slice(a - start_index, b - start_index)
-        stored = np.less(u[0], p_stored, out=batch.control_stored[rows])
-        retrieved = np.less(u[1], p_retrieved, out=batch.control_retrieved[rows])
-        retrieved &= stored
-        basis = batch.basis_index[rows]
-        if config.basis_mode == "round_robin":
-            basis[:] = np.arange(a, b) % 3
-        else:
-            np.minimum((u[2] * 3.0).astype(BASIS_DTYPE), 2, out=basis)
-        # a bool is one byte of 0 or 1, so the group stays int8 as well
-        group = basis + 3 * stored.view(BASIS_DTYPE)
-        _poisson_counts(cdfs[0], group, u[3], batch.counts_k[rows])
-        _poisson_counts(cdfs[1], group, u[4], batch.counts_l[rows])
-    return batch
+        w = u[:, a - first:b - first]
+        basis, stored, retrieved, *counts = (f[a - start_index:b - start_index]
+                                              for f in fields)
+        basis[:] = pattern[a % 3:][:b - a] if round_robin else np.minimum(w[2] * 3.0, 2.0)
+        np.less(w[0], p_stored, out=stored)
+        np.logical_and(w[1] < p_retrieved, stored, out=retrieved)
+        # a bool is one byte of 0 or 1, so the groups stay int8
+        _poisson_counts(table, basis + 3 * stored.view(BASIS_DTYPE), w[3:], counts)
+    return ShotBatch(*fields)
 
 
-def _poisson_counts(cdfs, group: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
-    """One port's Poisson counts into ``out``, by CDF inversion of u with
-    the CDF of each shot's group: 0 where u is at most cdf[0], and a
-    ``searchsorted`` of the remaining shots, one group at a time."""
+def _count_table(lams) -> tuple:
+    """The table of ``_poisson_counts`` for the means lams[group][port]: the
+    Poisson CDFs, each closed by 1.5, as sorted int64 keys floor(cdf 2^53) +
+    (6 port + group) 2^54 and the count at each; each CDF's first two values;
+    each port's zero cut, its smallest cdf[0]; and each port's first group."""
     import numpy as np
 
-    out.fill(0)
-    hit = np.flatnonzero(u > np.take([cdf[0] for cdf in cdfs], group))
-    g = group[hit]
-    for j, cdf in enumerate(cdfs):
-        shots = hit[g == j]
-        out[shots] = np.searchsorted(cdf, u[shots])
+    cdfs = [np.append(_poisson_cdf(lam), 1.5) for port in zip(*lams) for lam in port]
+    sizes = [cdf.size for cdf in cdfs]
+    keys = (np.concatenate(cdfs) * 2.0**53).astype(np.int64)
+    keys += np.repeat(np.arange(len(cdfs), dtype=np.int64) << 54, sizes)
+    counts = np.concatenate([np.arange(size, dtype=COUNT_DTYPE) for size in sizes])
+    low = np.array([cdf[:2] for cdf in cdfs]).T
+    cut = low[0].reshape(-1, len(lams)).min(axis=1, keepdims=True)
+    return keys, counts, low, cut, np.arange(0, len(cdfs), len(lams))[:, None]
+
+
+def _poisson_counts(table, group: np.ndarray, u: np.ndarray, outs) -> None:
+    """Each port's counts into its zeroed array of ``outs``: the CDF inversion
+    of its row of u with the ``_count_table`` CDF of each shot's group.  The
+    search is exact for u on the 2^-53 grid of ``Generator.random``, where
+    cdf < u exactly when floor(cdf 2^53) < u 2^53."""
+    import numpy as np
+
+    keys, counts, low, cut, ports = table
+    hit = np.flatnonzero((u > cut).any(axis=0))
+    v, g = u.take(hit, axis=1), group.take(hit) + ports
+    above = v > low.take(g, axis=1)
+    count = above[0].astype(COUNT_DTYPE)
+    deep = np.flatnonzero(above[1])
+    key = (v.take(deep) * 2.0**53).astype(np.int64) + (g.take(deep) << 54)
+    count.put(deep, counts.take(np.searchsorted(keys, key)))
+    for out, port in zip(outs, count):
+        out.put(hit, port)
 
 
 def _basis_sums(batch: ShotBatch, postselect: bool) -> tuple[np.ndarray, int]:
     """Summed (port k, port l) counts per basis, shape (3, 2), and the
     number of shots kept, over all shots or the retrieved ones.  Only the
-    kept shots that count a photon are binned, _BLOCK_SHOTS at a time: the
+    kept shots that count a photon are binned, _SLICE_SHOTS at a time: the
     rest add nothing."""
     import numpy as np
 
     # The float sums are exact: a batch of at most MAX_REPETITIONS shots
     # sums to below 2^53.
     sums = np.zeros((len(BASIS_NAMES), 2))
-    for a in range(0, len(batch), _BLOCK_SHOTS):
-        b = a + _BLOCK_SHOTS
+    for a in range(0, len(batch), _SLICE_SHOTS):
+        b = a + _SLICE_SHOTS
         counts = (batch.counts_k[a:b], batch.counts_l[a:b])
         counted = np.logical_or(*counts)
         if postselect:
             counted &= batch.control_retrieved[a:b]
         hit = np.flatnonzero(counted)
-        bins = batch.basis_index[a:b][hit]
+        bins = batch.basis_index[a:b].take(hit)
         for j, port in enumerate(counts):
-            sums[:, j] += np.bincount(bins, weights=port[hit], minlength=3)
+            sums[:, j] += np.bincount(bins, weights=port.take(hit), minlength=3)
     n_kept = np.count_nonzero(batch.control_retrieved) if postselect else len(batch)
     return sums.astype(np.int64), int(n_kept)
 

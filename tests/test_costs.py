@@ -9,7 +9,8 @@ last lowered (CPython 3.11, numpy 2.4): a change that lowers a count lowers
 its bound.  Other counters: 72 ``chi`` calls per default width search
 (``tests/test_susceptibility.py``), at most 600 uniforms per tally
 (``TestTally`` in ``tests/test_photostatistics.py``), and the tracemalloc
-peaks of the per-shot model pinned there.
+peaks of the per-shot model pinned there.  The per-shot model's own
+counter here is its ``searchsorted`` calls per block of shots.
 """
 
 import json
@@ -20,9 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from rydberg_xpm import fitting
+from rydberg_xpm import fitting, photostatistics
 from rydberg_xpm.cli import cmd_spectrum, main
 from rydberg_xpm.config import RunConfig
+from rydberg_xpm.polarization import balanced_input_state
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,6 +52,8 @@ MODULES = {
 NUMPY_FREE = ("density-scan", "tomography", "retrieval")
 # 6 iterations of 4 central differences (8 calls) and a step, plus the start
 MODEL_EVALUATIONS_PER_FIT = 54
+# one search per block for the counts of 2 or more, both ports at once
+SEARCHES_PER_BLOCK = 1
 
 
 def fresh_run(argv: list) -> dict:
@@ -109,3 +113,29 @@ def test_model_evaluations_per_fit(monkeypatch, tmp_path, fit_input):
     monkeypatch.setattr(fitting, "normalized_chi", counting)
     assert main(["fit", "--input", fit_input, "--output-dir", str(tmp_path)]) == 0
     assert len(calls) <= MODEL_EVALUATIONS_PER_FIT
+
+
+@pytest.mark.parametrize("target", [0.9, 1000.0])
+@pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+def test_searches_per_block(monkeypatch, basis_mode, target):
+    # four blocks, the first and last in part, at the default mean and at
+    # the largest, where every shot is searched
+    import numpy as np
+
+    calls = []
+    searchsorted = np.searchsorted
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    block = photostatistics._BLOCK_SHOTS
+    cfg = photostatistics.ExperimentConfig(basis_mode=basis_mode,
+                                           mean_photons_target=target)
+    # the medium response at the default operating point
+    truth = (0.834204568833878, -1.5735361082477184,
+             1.3725115599448552, 1.6191819221302537)
+    photostatistics.simulate_batch(cfg, truth, balanced_input_state(truth[2]),
+                                   block - 5, 3 * block)
+    assert len(calls) <= 4 * SEARCHES_PER_BLOCK

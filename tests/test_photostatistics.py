@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import FALSE_ALARM, angle_diff
 from rydberg_xpm import photostatistics
@@ -341,15 +343,17 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("lam", [1e-300, 0.9, 40.0, 1000.0, 3000.0])
     def test_poisson_cdf_at_its_edges(self, lam):
-        # every CDF value and the floats next to it, and both ends of
-        # [0, 1), where a slip between the zero cut, the search and the
-        # oracle's inversion would show
+        # the grid uniforms around every CDF value, where a slip between the
+        # zero cut, cdf[0] and cdf[1] and the search would show; and the
+        # floats next to cdf[0] and cdf[1] at or below cdf[1], which the
+        # kernel tells apart by float compares alone
         cdf = photostatistics._poisson_cdf(lam)
-        u = np.concatenate([np.nextafter(cdf, 0.0), cdf, np.nextafter(cdf, 1.0),
-                            [0.0, 1.0 - 2.0**-53]])
-        u = np.clip(u, 0.0, 1.0 - 2.0**-53)
-        out = np.full(u.size, -1, dtype=np.int64)
-        photostatistics._poisson_counts([cdf], np.zeros(u.size, dtype=np.int8), u, out)
+        u = np.concatenate([grid_around(cdf), np.nextafter(cdf[:2], 0.0), cdf[:2],
+                            np.nextafter(cdf[:1], 1.0)])
+        u = u[(u < 1.0) & ((u <= (cdf[1] if cdf.size > 1 else 1.0)) | on_grid(u))]
+        out = np.zeros(u.size, dtype=np.int16)
+        photostatistics._poisson_counts(photostatistics._count_table([(lam,)]),
+                                        np.zeros(u.size, dtype=np.int8), u[None], [out])
         assert np.array_equal(out, oracle_poisson(u, lam))
 
     @pytest.mark.parametrize("lams", [
@@ -358,35 +362,138 @@ class TestKernelOracle:
         [0.0] * 6,
     ])
     def test_zero_count_cut_at_its_edges(self, lams):
-        # each group's cdf[0] and the floats next to it, and both ends of
-        # [0, 1), drawn through the zero cut in one call, the groups
+        # each group's cdf[0] and the grid uniforms around it, and both ends
+        # of [0, 1), drawn through the zero cut in one call, the groups
         # interleaved
         cdfs = [photostatistics._poisson_cdf(lam) for lam in lams]
         us, expected = [], []
         for lam, cdf in zip(lams, cdfs):
-            u = np.array([np.nextafter(cdf[0], 0.0), cdf[0], np.nextafter(cdf[0], 1.0),
-                          0.0, 1.0 - 2.0**-53])
+            u = np.concatenate([grid_around(cdf[:1]), [0.0, 1.0 - 2.0**-53]])
             us.append(u)
             expected.append(oracle_poisson(u, lam))
-            if 0.0 < cdf[0] < 1.0:
+            if 2.0**-52 < cdf[0] < 1.0:
                 assert expected[-1][1:3].tolist() == [0, 1]
         group = np.tile(np.arange(len(lams), dtype=np.int8), 5)
-        out = np.full(group.size, -1, dtype=np.int64)
-        photostatistics._poisson_counts(cdfs, group, np.stack(us, axis=1).ravel(), out)
+        out = np.full(group.size, 0, dtype=np.int16)
+        photostatistics._poisson_counts(
+            photostatistics._count_table([(lam,) for lam in lams]), group,
+            np.stack(us, axis=1).ravel()[None], [out])
         assert np.array_equal(out, np.stack(expected, axis=1).ravel())
+
+    @pytest.mark.parametrize("lams", [
+        [(0.066, 0.057), (0.017, 0.106), (0.045, 0.078),
+         (0.048, 0.043), (0.080, 0.011), (0.045, 0.045)],
+        [(1000.0, 0.0), (0.0, 40.0), (0.9, 0.9), (1e-300, 3.0), (0.0, 0.0), (7.0, 1e-3)],
+    ])
+    def test_ports_are_searched_apart(self, lams):
+        # both ports in one call, each against its own cut and table rows:
+        # the grid uniforms around every CDF value of either port, in
+        # every group, the two ports' values in opposite orders
+        values = np.unique(np.concatenate(
+            [grid_around(photostatistics._poisson_cdf(lam)) for pair in lams
+             for lam in pair] + [[0.0, 1.0 - 2.0**-53]]))
+        u = np.stack([np.tile(values, 6), np.tile(values[::-1], 6)])
+        group = np.repeat(np.arange(6, dtype=np.int8), values.size)
+        outs = np.zeros(u.shape, dtype=np.int16)
+        photostatistics._poisson_counts(photostatistics._count_table(lams), group, u, outs)
+        for port in range(2):
+            for g, pair in enumerate(lams):
+                m = group == g
+                assert np.array_equal(outs[port][m],
+                                      oracle_poisson(u[port][m], pair[port])), (port, g)
+
+
+def on_grid(u):
+    """Whether each u is a multiple of 2^-53, as every uniform of
+    ``Generator.random`` is."""
+    return u * 2.0**53 == np.floor(u * 2.0**53)
+
+
+def grid_around(values):
+    """The multiples of 2^-53 next to each value: the largest at or below
+    it, the one below that and the smallest above it, clipped to [0, 1)."""
+    m = np.floor(np.asarray(values) * 2.0**53)
+    return np.clip(np.concatenate([m - 1.0, m, m + 1.0]), 0.0, 2.0**53 - 1.0) * 2.0**-53
+
+
+class TestGeneratorContract:
+    """The properties of numpy's Generator that simulate_batch relies on:
+    its uniforms lie on the 2^-53 grid, where the count search is exact,
+    and ``PCG64.advance(k)`` skips exactly k of them, which round-robin
+    blocks use to skip the basis row."""
+
+    @pytest.mark.parametrize("seed", [[0, 0], [2718, 5], [2**70 + 3, 2**40 // B]])
+    def test_uniforms_are_the_top_53_bits(self, seed):
+        u = np.random.default_rng(seed).random(5 * B)
+        raw = np.random.default_rng(seed).bit_generator.random_raw(5 * B)
+        assert np.array_equal(u, (raw >> np.uint64(11)).astype(float) * 2.0**-53)
+        assert on_grid(u).all()
+
+    @pytest.mark.parametrize("seed", [[0, 0], [404, 2**40 // B]])
+    def test_advance_skips_exactly_that_many_uniforms(self, seed):
+        whole = np.random.default_rng(seed).random((5, B))
+        rng = np.random.default_rng(seed)
+        rows = np.full((5, B), -1.0)
+        rng.random(out=rows[:2])
+        rng.bit_generator.advance(B)
+        rng.random(out=rows[3:])
+        assert np.array_equal(rows[[0, 1, 3, 4]], whole[[0, 1, 3, 4]])
+        assert (rows[2] == -1.0).all()
+
+
+# derandomized at a fixed example count, as in tests/test_properties.py
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+EFFICIENCY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@PROPERTY
+@given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**96)),
+       start_index=st.one_of(st.integers(0, 3 * B), st.integers(0, 2**40)),
+       n=st.integers(1, 3 * B + 7),
+       target=st.one_of(st.sampled_from([0.0, 0.9, 1000.0]), st.floats(0.0, 1000.0)),
+       control=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+       detection=EFFICIENCY, storage=EFFICIENCY, decay=st.floats(0.0, 1.0),
+       delay_us=st.floats(0.0, 10.0),
+       basis_mode=st.sampled_from(["round_robin", "random"]))
+def test_kernel_matches_oracle_and_masks(seed, start_index, n, target, control, detection,
+                                         storage, decay, delay_us, basis_mode):
+    cfg = ExperimentConfig(
+        mean_photons_target=target, mean_photons_control=control,
+        detection_efficiency=detection, storage_retrieval_efficiency_zero_delay=storage,
+        storage_retrieval_efficiency_delayed=storage * decay, delay=delay_us * 1e-6,
+        basis_mode=basis_mode, rng_seed=seed)
+    batch = simulate_batch(cfg, TRUTH, balanced_state(), start_index, n)
+    assert_same_batch(batch, oracle_batch(cfg, TRUTH, balanced_state(), start_index, n))
+    for postselect in (True, False):
+        sums, n_kept = photostatistics._basis_sums(batch, postselect)
+        counts, expected_kept = mask_basis_sums(batch, postselect)
+        assert sums.tolist() == [list(counts[name]) for name in photostatistics.BASIS_NAMES]
+        assert n_kept == expected_kept
 
 
 def fed_uniforms(monkeypatch, rows):
     """Make every block draw ``rows`` as the first columns of its five
-    rows of uniforms, the other columns 0.5."""
+    rows of uniforms, the other columns 0.5: each Generator's stream is
+    those five rows in order, read by ``random`` and skipped by
+    ``bit_generator.advance``."""
     u = np.full((5, B), 0.5)
     rows = np.asarray(rows, dtype=float)
     u[:, :rows.shape[1]] = rows
 
     class Fed:
-        def random(self, shape):
-            assert shape == u.shape
-            return u.copy()
+        def __init__(self):
+            self.stream = u.ravel()
+            self.bit_generator = self
+
+        def advance(self, k):
+            self.stream = self.stream[k:]
+
+        def random(self, size=None, out=None):
+            out = np.empty(size) if out is None else out
+            out[...] = self.stream[:out.size].reshape(out.shape)
+            self.stream = self.stream[out.size:]
+            return out
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Fed())
 
@@ -474,9 +581,9 @@ class TestBlocks:
         assert basis[:4].tolist() == [0, 2, 1, 2]
 
     def test_memory_is_output_plus_blocks(self):
-        # the five output arrays take 7.3 MB at 2^20 shots; the block being
-        # filled adds its uniforms and temporaries, 0.7 MB at 2^13 shots,
-        # for a peak of 8.0 MB
+        # the five output arrays take 7.3 MB at 2^20 shots; one buffer of a
+        # block's uniforms (320 kB at 2^13 shots), reused by every block,
+        # and that block's temporaries add 0.5 MB, for a peak of 7.85 MB
         cfg = ExperimentConfig(repetitions=2**20, rng_seed=3)
         # numpy imports its random modules on first use, outside the trace
         simulate_batch(cfg, TRUTH, balanced_state(), n=1)
@@ -486,7 +593,7 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8.5e6
+        assert peak < 8.0e6
 
 
 def same_law(x, y, cells=20):
@@ -698,9 +805,9 @@ class TestEstimator:
         assert n_kept == 3000
 
     def test_memory_is_that_of_a_slice(self):
-        # the shots are binned B at a time, so the temporaries do not grow
-        # with the batch: 36 kB here, where binning all 2^20 shots at once
-        # added 4.1 MB
+        # the shots are binned 2^16 at a time, so the temporaries do not
+        # grow with the batch: 267 kB here, where binning all 2^20 shots at
+        # once added 4.1 MB
         batch = simulate_batch(ExperimentConfig(repetitions=2**20, rng_seed=3),
                                TRUTH, balanced_state())
         tracemalloc.start()
