@@ -128,15 +128,18 @@ def _integrals(cfg: RunConfig, sign_reversed: bool) -> dict:
 
 
 def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
+    import numpy as np
+
     params = cfg.eit_params()
     geom = cfg.geometry()
-    grid = cfg.spectrum_grid()
+    # one array for both spectra and the detuning column
+    grid = np.array(cfg.spectrum_grid())
     eit = spectrum(params, geom, grid)
     ref = spectrum(two_level(params), geom, grid)
     table = (
         ["delta_s_mhz", "transmission_eit", "phase_eit_rad",
          "transmission_two_level", "phase_two_level_rad"],
-        [[x / (2e6 * math.pi) for x in grid], eit.transmission.tolist(),
+        [(grid / (2e6 * math.pi)).tolist(), eit.transmission.tolist(),
          eit.phase.tolist(), ref.transmission.tolist(), ref.phase.tolist()],
     )
     delta_t = _width(cfg)

@@ -13,19 +13,28 @@ retrieval.  This module only samples those powers and estimates from counts.
 
 The per-shot model ``simulate_batch`` draws its shots in blocks of
 _BLOCK_SHOTS: shot i is column i % _BLOCK_SHOTS of block i // _BLOCK_SHOTS,
-whose five rows of uniforms come from the numpy Generator seeded
-``[rng_seed, block]``.  Rows 0 to 4 decide storage, retrieval, the random
-basis (floor(3u), capped at 2; round-robin bases are i % 3, and skip row 2
-unread) and the counts of ports k and l.  A call draws every block it
-touches whole and keeps the columns it needs, so any chunking or start
-index yields bit-identical shots.  A count is the number of Poisson CDF
-values below u.  Most shots count nothing, so a block looks only at the
-shots where u passes either port's smallest cdf[0], tells counts 0, 1 and
-more apart by each group's cdf[0] and cdf[1], and finds the rest with one
-``searchsorted`` (``_count_table``).  Its memory is O(output + 1 block).
-A shot takes 7 bytes: an int8 basis (BASIS_DTYPE), two bools and two int16
-counts (COUNT_DTYPE), which hold every count, since a count is below the
-size of the largest Poisson CDF (1405 entries at MAX_MEAN_PHOTONS_TARGET).
+whose rows of uniforms come from the numpy Generator seeded
+``[rng_seed, block]``.  Row 0 decides storage (u < p_stored) and retrieval
+(u < p_stored p_retrieve, which implies storage: the joint law of two
+draws), row 1 the shot's total count of both ports, and row 2, drawn only
+for random bases, the basis (floor(3u), capped at 2; round-robin bases are
+i % 3).  The total count is Poisson with the summed mean of the shot's
+(stored, basis) group, by CDF inversion: the number of CDF values below u.
+Most shots count nothing, so a block looks only at the shots above the
+smallest cdf[0], tells counts 0, 1 and more apart by each group's cdf[0]
+and cdf[1], and finds the rest with one ``searchsorted`` (``_count_table``,
+built once per set of means).  Then each counting shot is split between
+the ports, which makes their counts independent Poissons of their own
+means: after the rows, the block draws one uniform per counting shot, and
+a single photon goes to port k when it is below the group's port-k share
+lam_k / (lam_k + lam_l); then one ``Generator.binomial`` per shot that
+counts N >= 2, Bin(N, share); both in shot order.  A call draws and splits
+every block it touches whole and keeps the columns it needs, so any
+chunking or start index yields bit-identical shots.  Its memory is
+O(output + 1 block).  A shot takes 7 bytes: an int8 basis (BASIS_DTYPE),
+two bools and two int16 counts (COUNT_DTYPE), which hold every count,
+since a count is below the size of the largest Poisson CDF (1405 entries
+at MAX_MEAN_PHOTONS_TARGET, the largest summed mean of a group).
 ``estimate_stokes`` bins only the kept shots that count a photon,
 _SLICE_SHOTS shots at a time, so its temporaries are those of a slice.
 
@@ -53,6 +62,7 @@ numpy is imported only by the per-shot model (``simulate_batch``,
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -68,7 +78,7 @@ if TYPE_CHECKING:
 
 # simulate_batch draws its shots _BLOCK_SHOTS at a time, and _basis_sums
 # bins them _SLICE_SHOTS at a time.
-_BLOCK_SHOTS = 2**13
+_BLOCK_SHOTS = 2**14
 _SLICE_SHOTS = 2**16
 # The Poisson CDF and its temporaries grow linearly with the mean count
 # (321 MB at a mean of 10^7), so the mean is bounded far below where it
@@ -257,70 +267,100 @@ def simulate_batch(config: ExperimentConfig, truth, input_state: PolarizationSta
     if n is None:
         n = config.repetitions
     p_stored = config.p_stored
-    p_retrieved = config.p_retrieve(config.delay)
+    # p_retrieve is at most 1, so that a retrieved shot is always a stored one
+    p_retrieved = p_stored * config.p_retrieve(config.delay)
     round_robin = config.basis_mode == "round_robin"
-    table = _count_table(_port_lambdas(config, truth, input_state))
+    table = _count_table(tuple(_port_lambdas(config, truth, input_state)))
+    share = table[-1]
     # the counts are zeroed, and only the shots that count are written
     fields = [np.empty(n, dtype=dtype) for dtype in (BASIS_DTYPE, bool, bool)]
     fields += [np.zeros(n, dtype=COUNT_DTYPE) for port in range(2)]
-    # one block's uniforms, reused by every block; round-robin bases are a
-    # slice of the pattern 0, 1, 2, 0, ...
-    u = np.empty((5, _BLOCK_SHOTS))
-    pattern = (np.arange(_BLOCK_SHOTS + 2) % 3).astype(BASIS_DTYPE)
+    # one block's rows of uniforms, stored shots and groups, reused by every
+    # block; round-robin bases are a slice of the pattern 0, 1, 2, 0, ...
+    u = np.empty((2 if round_robin else 3, _BLOCK_SHOTS))
+    stored = np.empty(_BLOCK_SHOTS, dtype=bool)
+    group = np.empty(_BLOCK_SHOTS, dtype=BASIS_DTYPE)
+    pattern = np.tile(np.arange(3, dtype=BASIS_DTYPE), _BLOCK_SHOTS // 3 + 2)
     end = start_index + n
     for block in range(start_index // _BLOCK_SHOTS, -(-end // _BLOCK_SHOTS)):
         first = block * _BLOCK_SHOTS
         rng = np.random.default_rng([config.rng_seed, block])
-        rng.random(out=u[:2] if round_robin else u)
-        if round_robin:  # row 2, the random basis, is skipped unread
-            rng.bit_generator.advance(_BLOCK_SHOTS)
-            rng.random(out=u[3:])
-        a, b = max(start_index, first), min(end, first + _BLOCK_SHOTS)
-        w = u[:, a - first:b - first]
-        basis, stored, retrieved, *counts = (f[a - start_index:b - start_index]
-                                              for f in fields)
-        basis[:] = pattern[a % 3:][:b - a] if round_robin else np.minimum(w[2] * 3.0, 2.0)
-        np.less(w[0], p_stored, out=stored)
-        np.logical_and(w[1] < p_retrieved, stored, out=retrieved)
+        rng.random(out=u)
+        if round_robin:
+            basis = pattern[first % 3:][:_BLOCK_SHOTS]
+        else:  # min(floor(3u), 2), with no float temporary
+            basis = np.multiply(u[2], 3.0, out=u[2]).astype(BASIS_DTYPE)
+            np.minimum(basis, 2, out=basis)
+        np.less(u[0], p_stored, out=stored)
         # a bool is one byte of 0 or 1, so the groups stay int8
-        _poisson_counts(table, basis + 3 * stored.view(BASIS_DTYPE), w[3:], counts)
+        np.add(basis, 3 * stored.view(BASIS_DTYPE), out=group)
+        # every counting shot of the block is split, whatever the call keeps,
+        # so that the variates drawn after the rows are the same in any call
+        hit, g, total, deep = _total_counts(table, group, u[1])
+        p = share.take(g)
+        k = (rng.random(hit.size) < p).astype(COUNT_DTYPE)
+        k.put(deep, rng.binomial(total.take(deep), p.take(deep)))
+        a, b = max(start_index, first) - first, min(end, first + _BLOCK_SHOTS) - first
+        basis_out, stored_out, retrieved_out, counts_k, counts_l = (
+            f[first - start_index + a:first - start_index + b] for f in fields)
+        basis_out[:] = basis[a:b]
+        stored_out[:] = stored[a:b]
+        np.less(u[0, a:b], p_retrieved, out=retrieved_out)
+        if b - a < _BLOCK_SHOTS:  # the counting shots in [a, b), from a
+            keep = np.flatnonzero((hit >= a) & (hit < b))
+            hit, total, k = hit.take(keep) - a, total.take(keep), k.take(keep)
+        counts_k.put(hit, k)
+        counts_l.put(hit, total - k)
     return ShotBatch(*fields)
 
 
-def _count_table(lams) -> tuple:
-    """The table of ``_poisson_counts`` for the means lams[group][port]: the
-    Poisson CDFs, each closed by 1.5, as sorted int64 keys floor(cdf 2^53) +
-    (6 port + group) 2^54 and the count at each; each CDF's first two values;
-    each port's zero cut, its smallest cdf[0]; and each port's first group."""
+@functools.lru_cache(maxsize=16)
+def _count_table(lams: tuple) -> tuple:
+    """The table of ``_total_counts`` for the means lams[group] = (port k,
+    port l), built once per set of means: the Poisson CDFs of each group's
+    total mean, each closed by 1.5, as sorted int64 keys floor(cdf 2^53) +
+    group 2^54 and the count at each; each CDF's first two values; the zero
+    cut, the smallest cdf[0]; and each group's port-k share of its mean.
+    The arrays are read-only, since every call with these means shares them."""
     import numpy as np
 
-    cdfs = [np.append(_poisson_cdf(lam), 1.5) for port in zip(*lams) for lam in port]
+    totals = [lam_k + lam_l for lam_k, lam_l in lams]
+    cdfs = [np.append(_poisson_cdf(total), 1.5) for total in totals]
     sizes = [cdf.size for cdf in cdfs]
     keys = (np.concatenate(cdfs) * 2.0**53).astype(np.int64)
     keys += np.repeat(np.arange(len(cdfs), dtype=np.int64) << 54, sizes)
     counts = np.concatenate([np.arange(size, dtype=COUNT_DTYPE) for size in sizes])
     low = np.array([cdf[:2] for cdf in cdfs]).T
-    cut = low[0].reshape(-1, len(lams)).min(axis=1, keepdims=True)
-    return keys, counts, low, cut, np.arange(0, len(cdfs), len(lams))[:, None]
+    share = np.array([lam_k / total if total > 0.0 else 0.0
+                      for (lam_k, lam_l), total in zip(lams, totals)])
+    for array in (keys, counts, low, share):
+        array.flags.writeable = False
+    return keys, counts, low, float(low[0].min()), share
 
 
-def _poisson_counts(table, group: np.ndarray, u: np.ndarray, outs) -> None:
-    """Each port's counts into its zeroed array of ``outs``: the CDF inversion
-    of its row of u with the ``_count_table`` CDF of each shot's group.  The
-    search is exact for u on the 2^-53 grid of ``Generator.random``, where
-    cdf < u exactly when floor(cdf 2^53) < u 2^53."""
+def _total_counts(table, group: np.ndarray, u: np.ndarray) -> tuple:
+    """The shots that count a photon, their groups and total counts, and
+    which of them count two or more: the CDF inversion of u with the
+    ``_count_table`` CDF of each shot's group.  Only the shots above the
+    zero cut are looked at; counts 0, 1 and more are told apart by each
+    group's cdf[0] and cdf[1], and the rest are found with one
+    ``searchsorted``, which is exact for u on the 2^-53 grid of
+    ``Generator.random``, where cdf < u exactly when floor(cdf 2^53) <
+    u 2^53."""
     import numpy as np
 
-    keys, counts, low, cut, ports = table
-    hit = np.flatnonzero((u > cut).any(axis=0))
-    v, g = u.take(hit, axis=1), group.take(hit) + ports
+    keys, counts, low, cut, _ = table
+    hit = np.flatnonzero(u > cut)
+    v, g = u.take(hit), group.take(hit)
     above = v > low.take(g, axis=1)
-    count = above[0].astype(COUNT_DTYPE)
-    deep = np.flatnonzero(above[1])
-    key = (v.take(deep) * 2.0**53).astype(np.int64) + (g.take(deep) << 54)
-    count.put(deep, counts.take(np.searchsorted(keys, key)))
-    for out, port in zip(outs, count):
-        out.put(hit, port)
+    counting = np.flatnonzero(above[0])
+    hit, g = hit.take(counting), g.take(counting)
+    deep = np.flatnonzero(above[1].take(counting))
+    total = np.ones(hit.size, dtype=COUNT_DTYPE)
+    key = ((v.take(counting.take(deep)) * 2.0**53).astype(np.int64)
+           + (g.take(deep).astype(np.int64) << 54))
+    total.put(deep, counts.take(np.searchsorted(keys, key)))
+    return hit, g, total, deep
 
 
 def _basis_sums(batch: ShotBatch, postselect: bool) -> tuple[np.ndarray, int]:

@@ -10,7 +10,8 @@ its bound.  Other counters: 72 ``chi`` calls per default width search
 (``tests/test_susceptibility.py``), at most 600 uniforms per tally
 (``TestTally`` in ``tests/test_photostatistics.py``), and the tracemalloc
 peaks of the per-shot model pinned there.  The per-shot model's own
-counter here is its ``searchsorted`` calls per block of shots.
+counters here are its ``searchsorted`` calls and the uniforms it draws per
+block of shots.
 """
 
 import json
@@ -52,8 +53,15 @@ MODULES = {
 NUMPY_FREE = ("density-scan", "tomography", "retrieval")
 # 6 iterations of 4 central differences (8 calls) and a step, plus the start
 MODEL_EVALUATIONS_PER_FIT = 54
-# one search per block for the counts of 2 or more, both ports at once
+# one search per block for the total counts of 2 or more
 SEARCHES_PER_BLOCK = 1
+# the uniforms of a block: its rows, 2 a shot with round-robin bases and 3
+# with random ones; one for each shot that counts a photon; and those of
+# the binomials that split the counts of 2 or more, exactly 1 each by
+# inversion at the default mean and 2.32 at most by rejection at mean 1000
+# when this bound was set
+ROWS_PER_SHOT = {"round_robin": 2, "random": 3}
+UNIFORMS_PER_BINOMIAL = 3
 
 
 def fresh_run(argv: list) -> dict:
@@ -139,3 +147,52 @@ def test_searches_per_block(monkeypatch, basis_mode, target):
     photostatistics.simulate_batch(cfg, truth, balanced_input_state(truth[2]),
                                    block - 5, 3 * block)
     assert len(calls) <= 4 * SEARCHES_PER_BLOCK
+
+
+def draws_since_seeding(seed, state, at_least: int) -> int:
+    """The 64-bit draws a Generator seeded ``seed`` made to reach ``state``,
+    counted from ``at_least`` on."""
+    import numpy as np
+
+    bit_generator = np.random.default_rng(seed).bit_generator
+    bit_generator.advance(at_least)
+    for extra in range(4 * photostatistics._BLOCK_SHOTS):
+        if bit_generator.state == state:
+            return at_least + extra
+        bit_generator.random_raw()
+    raise AssertionError(f"{seed}: more than {at_least + extra} draws")
+
+
+@pytest.mark.parametrize("target", [0.9, 1000.0])
+@pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
+def test_uniforms_per_block(monkeypatch, basis_mode, target):
+    # two whole blocks, at the default mean and at the largest, where every
+    # shot counts two or more
+    import numpy as np
+
+    generators = []
+    default_rng = np.random.default_rng
+
+    def spy(seed):
+        generators.append((seed, default_rng(seed)))
+        return generators[-1][1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    block = photostatistics._BLOCK_SHOTS
+    cfg = photostatistics.ExperimentConfig(basis_mode=basis_mode,
+                                           mean_photons_target=target)
+    truth = (0.834204568833878, -1.5735361082477184,
+             1.3725115599448552, 1.6191819221302537)
+    batch = photostatistics.simulate_batch(cfg, truth, balanced_input_state(truth[2]),
+                                           0, 2 * block)
+    monkeypatch.undo()
+    total = batch.counts_k.astype(np.int64) + batch.counts_l
+    assert len(generators) == 2
+    for j, (seed, rng) in enumerate(generators):
+        counts = total[j * block:(j + 1) * block]
+        counting, binomials = int(np.count_nonzero(counts)), int(np.count_nonzero(counts >= 2))
+        assert binomials > 0
+        drawn = draws_since_seeding(seed, rng.bit_generator.state,
+                                    ROWS_PER_SHOT[basis_mode] * block + counting + binomials)
+        assert drawn <= (ROWS_PER_SHOT[basis_mode] * block + counting
+                         + UNIFORMS_PER_BINOMIAL * binomials)

@@ -71,32 +71,43 @@ def oracle_poisson(u, lam):
 
 
 def oracle_batch(config, truth, input_state, start_index, n):
-    """Reference kernel: the uniforms of every block that covers the shots,
-    laid side by side, and one boolean mask per (stored, basis) group whose
-    every shot is inverted with no zero cut; simulate_batch must reproduce
-    it bit for bit."""
-    first, last = start_index // B, (start_index + n - 1) // B
-    u = np.concatenate([np.random.default_rng([config.rng_seed, block]).random((5, B))
-                        for block in range(first, last + 1)], axis=1)
-    u = u[:, start_index - first * B:][:, :n].T
+    """Reference kernel: every block that covers the shots, drawn whole from
+    its own Generator in the documented order.  The rows are the control
+    uniform (stored below p_stored, retrieved below p_stored p_retrieve),
+    the total count and, for random bases, the basis.  Every shot of each
+    (stored, basis) group is inverted with the CDF of the group's total
+    mean and no cut.  Then the counting shots are split one at a time, in
+    shot order: a uniform each, which sends a single photon to port k below
+    the group's port-k share, then a binomial for each that counts two or
+    more.  simulate_batch must reproduce it bit for bit."""
+    round_robin = config.basis_mode == "round_robin"
     p_stored = 1.0 - math.exp(-config.mean_photons_control * config.p_store)
-    stored = u[:, 0] < p_stored
-    retrieved = stored & (u[:, 1] < config.p_retrieve(config.delay))
-    if config.basis_mode == "round_robin":
-        basis = np.arange(start_index, start_index + n) % 3
-    else:
-        basis = np.minimum((u[:, 2] * 3.0).astype(np.int64), 2)
-    counts_k = np.zeros(n, dtype=np.int64)
-    counts_l = np.zeros(n, dtype=np.int64)
+    p_retrieved = p_stored * config.p_retrieve(config.delay)
     lams = photostatistics._port_lambdas(config, truth, input_state)
-    for g, (lk, ll) in enumerate(lams):
-        j, b = divmod(g, 3)
-        m = (stored == bool(j)) & (basis == b)
-        if not m.any():
-            continue
-        counts_k[m] = oracle_poisson(u[m, 3], lk)
-        counts_l[m] = oracle_poisson(u[m, 4], ll)
-    return ShotBatch(basis.astype(np.int64), stored, retrieved, counts_k, counts_l)
+    share = [lk / (lk + ll) if lk + ll > 0.0 else 0.0 for lk, ll in lams]
+    first, last = start_index // B, (start_index + n - 1) // B
+    blocks = []
+    for block in range(first, last + 1):
+        rng = np.random.default_rng([config.rng_seed, block])
+        u = rng.random((2 if round_robin else 3, B))
+        stored = u[0] < p_stored
+        if round_robin:
+            basis = np.arange(block * B, (block + 1) * B) % 3
+        else:
+            basis = np.minimum((u[2] * 3.0).astype(np.int64), 2)
+        group = basis + 3 * stored
+        total = np.zeros(B, dtype=np.int64)
+        for g, (lk, ll) in enumerate(lams):
+            total[group == g] = oracle_poisson(u[1][group == g], lk + ll)
+        counting = np.flatnonzero(total)
+        counts_k = np.zeros(B, dtype=np.int64)
+        for i in counting:
+            counts_k[i] = rng.random() < share[group[i]]
+        for i in counting[total[counting] >= 2]:
+            counts_k[i] = rng.binomial(total[i], share[group[i]])
+        blocks.append((basis, stored, u[0] < p_retrieved, counts_k, total - counts_k))
+    offset = start_index - first * B
+    return ShotBatch(*(np.concatenate(field)[offset:offset + n] for field in zip(*blocks)))
 
 
 def assert_same_batch(batch, reference):
@@ -337,8 +348,18 @@ class TestKernelOracle:
         assert_same_batch(batch, oracle_batch(cfg, TRUTH, state, 150, 2 * B + 1))
 
     def test_count_dtype_holds_the_largest_table(self):
-        # a count is at most the size of its group's Poisson table
-        size = photostatistics._poisson_cdf(MAX_MEAN_PHOTONS_TARGET).size
+        # a count is at most the size of its group's Poisson table, whose
+        # mean is the sum of both ports' means: at most the largest mean, as
+        # the port powers of a basis sum to the output power, at most 1
+        cfg = ExperimentConfig(mean_photons_target=MAX_MEAN_PHOTONS_TARGET,
+                               detection_efficiency=1.0)
+        lossless = (0.0, 0.0, 0.0, 0.0)
+        totals = [lk + ll for truth in (TRUTH, lossless)
+                  for state in (balanced_state(), PolarizationState(1.0, 0.0))
+                  for lk, ll in photostatistics._port_lambdas(cfg, truth, state)]
+        assert max(totals) == pytest.approx(MAX_MEAN_PHOTONS_TARGET, rel=1e-15)
+        size = photostatistics._poisson_cdf(max(totals)).size
+        assert size == photostatistics._poisson_cdf(MAX_MEAN_PHOTONS_TARGET).size
         assert size < np.iinfo(photostatistics.COUNT_DTYPE).max
 
     @pytest.mark.parametrize("lam", [1e-300, 0.9, 40.0, 1000.0, 3000.0])
@@ -351,10 +372,8 @@ class TestKernelOracle:
         u = np.concatenate([grid_around(cdf), np.nextafter(cdf[:2], 0.0), cdf[:2],
                             np.nextafter(cdf[:1], 1.0)])
         u = u[(u < 1.0) & ((u <= (cdf[1] if cdf.size > 1 else 1.0)) | on_grid(u))]
-        out = np.zeros(u.size, dtype=np.int16)
-        photostatistics._poisson_counts(photostatistics._count_table([(lam,)]),
-                                        np.zeros(u.size, dtype=np.int8), u[None], [out])
-        assert np.array_equal(out, oracle_poisson(u, lam))
+        assert np.array_equal(total_counts([(lam, 0.0)], np.zeros(u.size, np.int8), u),
+                              oracle_poisson(u, lam))
 
     @pytest.mark.parametrize("lams", [
         [1e-300, 0.011, 0.106, 0.9, 40.0, 1000.0],
@@ -364,7 +383,8 @@ class TestKernelOracle:
     def test_zero_count_cut_at_its_edges(self, lams):
         # each group's cdf[0] and the grid uniforms around it, and both ends
         # of [0, 1), drawn through the zero cut in one call, the groups
-        # interleaved
+        # interleaved; each group's mean is split between the ports in its
+        # own way, which the totals do not see
         cdfs = [photostatistics._poisson_cdf(lam) for lam in lams]
         us, expected = [], []
         for lam, cdf in zip(lams, cdfs):
@@ -374,33 +394,67 @@ class TestKernelOracle:
             if 2.0**-52 < cdf[0] < 1.0:
                 assert expected[-1][1:3].tolist() == [0, 1]
         group = np.tile(np.arange(len(lams), dtype=np.int8), 5)
-        out = np.full(group.size, 0, dtype=np.int16)
-        photostatistics._poisson_counts(
-            photostatistics._count_table([(lam,) for lam in lams]), group,
-            np.stack(us, axis=1).ravel()[None], [out])
-        assert np.array_equal(out, np.stack(expected, axis=1).ravel())
+        shares = [0.0, 1.0, 0.5, 0.25, 1e-3, 0.999]
+        means = [(lam * share, lam - lam * share) for lam, share in zip(lams, shares)]
+        assert [lk + ll for lk, ll in means] == lams
+        assert np.array_equal(total_counts(means, group, np.stack(us, axis=1).ravel()),
+                              np.stack(expected, axis=1).ravel())
 
     @pytest.mark.parametrize("lams", [
         [(0.066, 0.057), (0.017, 0.106), (0.045, 0.078),
          (0.048, 0.043), (0.080, 0.011), (0.045, 0.045)],
         [(1000.0, 0.0), (0.0, 40.0), (0.9, 0.9), (1e-300, 3.0), (0.0, 0.0), (7.0, 1e-3)],
     ])
-    def test_ports_are_searched_apart(self, lams):
-        # both ports in one call, each against its own cut and table rows:
-        # the grid uniforms around every CDF value of either port, in
-        # every group, the two ports' values in opposite orders
-        values = np.unique(np.concatenate(
-            [grid_around(photostatistics._poisson_cdf(lam)) for pair in lams
-             for lam in pair] + [[0.0, 1.0 - 2.0**-53]]))
-        u = np.stack([np.tile(values, 6), np.tile(values[::-1], 6)])
-        group = np.repeat(np.arange(6, dtype=np.int8), values.size)
-        outs = np.zeros(u.shape, dtype=np.int16)
-        photostatistics._poisson_counts(photostatistics._count_table(lams), group, u, outs)
-        for port in range(2):
-            for g, pair in enumerate(lams):
-                m = group == g
-                assert np.array_equal(outs[port][m],
-                                      oracle_poisson(u[port][m], pair[port])), (port, g)
+    def test_ports_split_by_each_groups_share(self, monkeypatch, lams):
+        # each group's total count split by its own share lk / (lk + ll),
+        # all of it to one port, none, half or nearly all, against the
+        # oracle over two blocks, the first in part, both basis modes
+        monkeypatch.setattr(photostatistics, "_port_lambdas", lambda *args: lams)
+        for basis_mode in ("round_robin", "random"):
+            cfg = ExperimentConfig(mean_photons_control=4.0, basis_mode=basis_mode,
+                                   rng_seed=99)
+            batch = simulate_batch(cfg, TRUTH, balanced_state(), 150, 2 * B - 150)
+            assert_same_batch(batch, oracle_batch(cfg, TRUTH, balanced_state(), 150,
+                                                  2 * B - 150))
+            # a port with no light counts nothing
+            group = batch.basis_index + 3 * batch.control_stored
+            for g, (lk, ll) in enumerate(lams):
+                assert batch.counts_k[group == g].any() or lk < 1.0, (basis_mode, g)
+                assert not batch.counts_k[group == g].any() or lk > 0.0, (basis_mode, g)
+                assert not batch.counts_l[group == g].any() or ll > 0.0, (basis_mode, g)
+
+    @pytest.mark.parametrize("target", [0.9, 40.0, 1000.0])
+    def test_port_counts_are_independent_poissons(self, target):
+        # per (stored, basis) group, the shots' K, L, K + L and K - L against
+        # those of independent Poisson draws of the group's two means, both
+        # basis modes (6 x 4 x 2 comparisons a case)
+        for basis_mode in ("round_robin", "random"):
+            cfg = ExperimentConfig(mean_photons_target=target, mean_photons_control=1.5,
+                                   basis_mode=basis_mode, rng_seed=31)
+            batch = simulate_batch(cfg, TRUTH, balanced_state(), 0, 4 * B)
+            group = batch.basis_index + 3 * batch.control_stored.astype(np.int64)
+            lams = photostatistics._port_lambdas(cfg, TRUTH, balanced_state())
+            rng = np.random.default_rng([31, int(target)])
+            for g, (lk, ll) in enumerate(lams):
+                k = batch.counts_k[group == g].astype(np.int64)
+                l = batch.counts_l[group == g].astype(np.int64)
+                assert k.size > 1000, g
+                xk, xl = rng.poisson(lk, k.size), rng.poisson(ll, k.size)
+                for x, y in ((k, xk), (l, xl), (k + l, xk + xl), (k - l, xk - xl)):
+                    assert same_law(x, y) > FALSE_ALARM, (basis_mode, g)
+
+
+def total_counts(lams, group, u):
+    """Every shot's total count through ``_total_counts`` with the
+    ``_count_table`` of the means lams[group] = (port k, port l): 0 where
+    the kernel finds no count."""
+    hit, g, total, deep = photostatistics._total_counts(
+        photostatistics._count_table(tuple(lams)), group, u)
+    assert np.array_equal(g, group.take(hit))
+    assert np.array_equal(deep, np.flatnonzero(total >= 2))
+    out = np.zeros(u.size, dtype=np.int64)
+    out[hit] = total
+    return out
 
 
 def on_grid(u):
@@ -419,8 +473,9 @@ def grid_around(values):
 class TestGeneratorContract:
     """The properties of numpy's Generator that simulate_batch relies on:
     its uniforms lie on the 2^-53 grid, where the count search is exact,
-    and ``PCG64.advance(k)`` skips exactly k of them, which round-robin
-    blocks use to skip the basis row."""
+    and the variates of one array call are those of one call per variate
+    in turn, so that the split of a block's counting shots, drawn in two
+    array calls, is the oracle's, drawn one shot at a time."""
 
     @pytest.mark.parametrize("seed", [[0, 0], [2718, 5], [2**70 + 3, 2**40 // B]])
     def test_uniforms_are_the_top_53_bits(self, seed):
@@ -430,15 +485,18 @@ class TestGeneratorContract:
         assert on_grid(u).all()
 
     @pytest.mark.parametrize("seed", [[0, 0], [404, 2**40 // B]])
-    def test_advance_skips_exactly_that_many_uniforms(self, seed):
-        whole = np.random.default_rng(seed).random((5, B))
-        rng = np.random.default_rng(seed)
-        rows = np.full((5, B), -1.0)
-        rng.random(out=rows[:2])
-        rng.bit_generator.advance(B)
-        rng.random(out=rows[3:])
-        assert np.array_equal(rows[[0, 1, 3, 4]], whole[[0, 1, 3, 4]])
-        assert (rows[2] == -1.0).all()
+    def test_array_draws_match_single_draws(self, seed):
+        # binomials by inversion and by rejection, at shares 0, 1 and in
+        # between, after a block's rows and uniforms, and what follows them
+        rng = np.random.default_rng(0)
+        n = np.concatenate([rng.integers(2, 1405, 500), [2, 2, 1404, 1404]])
+        p = np.concatenate([rng.random(500), [0.0, 1.0, 0.0, 1.0]])
+        whole, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(whole.random((3, B)), alone.random((3, B)))
+        assert np.array_equal(whole.random(1000), [alone.random() for _ in range(1000)])
+        drawn = whole.binomial(n.astype(np.int16), p)
+        assert drawn.tolist() == [alone.binomial(int(m), float(q)) for m, q in zip(n, p)]
+        assert whole.random() == alone.random()
 
 
 # derandomized at a fixed example count, as in tests/test_properties.py
@@ -472,28 +530,28 @@ def test_kernel_matches_oracle_and_masks(seed, start_index, n, target, control, 
         assert n_kept == expected_kept
 
 
-def fed_uniforms(monkeypatch, rows):
-    """Make every block draw ``rows`` as the first columns of its five
-    rows of uniforms, the other columns 0.5: each Generator's stream is
-    those five rows in order, read by ``random`` and skipped by
-    ``bit_generator.advance``."""
-    u = np.full((5, B), 0.5)
+def fed_uniforms(monkeypatch, rows, after=()):
+    """Make every block draw ``rows`` as the first columns of its rows of
+    uniforms (control, total count and, for random bases, basis), the other
+    columns 0.5, and then the uniforms ``after``: each Generator's stream is
+    those rows in order and then ``after``.  No block may draw a binomial."""
+    u = np.full((len(rows), B), 0.5)
     rows = np.asarray(rows, dtype=float)
     u[:, :rows.shape[1]] = rows
 
     class Fed:
         def __init__(self):
-            self.stream = u.ravel()
-            self.bit_generator = self
-
-        def advance(self, k):
-            self.stream = self.stream[k:]
+            self.stream = np.concatenate([u.ravel(), after])
 
         def random(self, size=None, out=None):
             out = np.empty(size) if out is None else out
             out[...] = self.stream[:out.size].reshape(out.shape)
             self.stream = self.stream[out.size:]
             return out
+
+        def binomial(self, n, p):
+            assert len(n) == 0
+            return np.zeros(0, dtype=np.int64)
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Fed())
 
@@ -503,10 +561,14 @@ def concat_batches(batches):
 
 
 class TestBlocks:
+    # the edges of blocks of B shots, and those of blocks of 2^13 shots,
+    # which now fall inside a block
     @pytest.mark.parametrize("basis_mode", ["round_robin", "random"])
-    @pytest.mark.parametrize("start_index", [0, 1, B - 1, B, 2**40 + 1])
-    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 7,
-                                   2**15 - 1, 2**15 + 1])
+    @pytest.mark.parametrize("start_index", sorted({0, 1, 2**13 - 1, 2**13, B - 1, B,
+                                                    2**40 + 1}))
+    @pytest.mark.parametrize("n", sorted({1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 7,
+                                          2**13 - 1, 2**13, 2**13 + 1, 2**14, 2**14 + 1,
+                                          3 * 2**13 + 7, 2**15 - 1, 2**15 + 1}))
     def test_matches_oracle_at_block_edges(self, n, start_index, basis_mode):
         cfg = ExperimentConfig(basis_mode=basis_mode, rng_seed=404)
         assert_same_batch(
@@ -525,11 +587,17 @@ class TestBlocks:
         assert_same_batch(whole, concat_batches(parts))
 
     @pytest.mark.parametrize("start_index, n, blocks", [
+        # edges of blocks of 2^13 shots, inside blocks of 2^14
+        (0, 3 * 2**13 + 7, [0, 1]),
+        (2**13 - 1, 2, [0]),
+        (2**13, 2**13, [0]),
+        (3 * 2**13, 2 * 2**13, [1, 2]),
+        (2**40 + 1, 1, [2**40 // B]),
+        # edges of blocks of B shots
         (0, 3 * B + 7, [0, 1, 2, 3]),
         (B - 1, 2, [0, 1]),
         (B, B, [1]),
         (3 * B, 2 * B, [3, 4]),
-        (2**40 + 1, 1, [2**40 // B]),
     ])
     def test_draws_each_covering_block_once(self, monkeypatch, start_index, n,
                                             blocks):
@@ -554,17 +622,21 @@ class TestBlocks:
                                    1.0 - math.exp(-0.6 * math.sqrt(0.2)),
                                    1.0 - 2.0**-53, 1.0])
     def test_storage_and_retrieval_at_their_edge(self, monkeypatch, p):
-        # a shot stores when u < p_stored and retrieves when also
-        # u' < p_retrieve: the floats next to p, and both ends of [0, 1)
-        u = np.array([0.0, np.nextafter(p, 0.0), p, np.nextafter(p, 1.0),
-                      1.0 - 2.0**-53])
-        u = np.minimum(u, 1.0 - 2.0**-53)
-        monkeypatch.setattr(ExperimentConfig, "p_stored", property(lambda self: p))
-        monkeypatch.setattr(ExperimentConfig, "p_retrieve", lambda self, t: p)
-        fed_uniforms(monkeypatch, [u, u[::-1], u, u, u])
-        batch = simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), 0, u.size)
-        assert np.array_equal(batch.control_stored, u < p)
-        assert np.array_equal(batch.control_retrieved, (u < p) & (u[::-1] < p))
+        # one uniform u decides both: a shot stores when u < p_stored and
+        # retrieves when u < p_stored p_retrieve; the floats next to p and
+        # to p^2, and both ends of [0, 1), at p_retrieve p and 1
+        for q in (p, 1.0):
+            edges = [p, p * q]
+            u = np.concatenate([[0.0, 1.0 - 2.0**-53], edges, np.nextafter(edges, 0.0),
+                                np.nextafter(edges, 1.0)])
+            u = np.minimum(u, 1.0 - 2.0**-53)
+            monkeypatch.setattr(ExperimentConfig, "p_stored", property(lambda self: p))
+            monkeypatch.setattr(ExperimentConfig, "p_retrieve", lambda self, t: q)
+            fed_uniforms(monkeypatch, [u, np.full(u.size, 0.5), np.full(u.size, 0.5)])
+            batch = simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), 0, u.size)
+            assert np.array_equal(batch.control_stored, u < p)
+            assert np.array_equal(batch.control_retrieved, u < p * q)
+            assert not (batch.control_retrieved & ~batch.control_stored).any()
 
     def test_random_basis_at_its_edges(self, monkeypatch):
         # each basis boundary k / 3 and the floats next to it, and both ends
@@ -573,27 +645,44 @@ class TestBlocks:
         edges = [np.nextafter(k / 3, d) for k in (1, 2) for d in (0.0, 1.0)]
         u = np.array([0.0, 1.0 - 2.0**-53, 1 / 3, 2 / 3] + edges)
         half = np.full(u.size, 0.5)
-        fed_uniforms(monkeypatch, [half, half, u, half, half])
+        fed_uniforms(monkeypatch, [half, half, u])
         cfg = ExperimentConfig(basis_mode="random")
         basis = simulate_batch(cfg, TRUTH, balanced_state(), 0, u.size).basis_index
         assert np.array_equal(basis, np.minimum((u * 3.0).astype(np.int64), 2))
         assert Fraction(2 / 3) < Fraction(2, 3)
         assert basis[:4].tolist() == [0, 2, 1, 2]
 
+    def test_single_photon_split_at_its_edge(self, monkeypatch):
+        # a single photon goes to port k when its uniform, drawn after the
+        # rows, is below the group's port-k share: the floats next to the
+        # share, and both ends of [0, 1); at a total mean of 0.1, the count
+        # uniform 0.95 counts one photon, and 0.5 none
+        lams = [(0.03, 0.07)] * 6
+        share = 0.03 / (0.03 + 0.07)
+        v = np.array([0.0, 1.0 - 2.0**-53, share, np.nextafter(share, 0.0),
+                      np.nextafter(share, 1.0)])
+        monkeypatch.setattr(photostatistics, "_port_lambdas", lambda *args: lams)
+        fed_uniforms(monkeypatch, [np.full(v.size, 0.5), np.full(v.size, 0.95)], after=v)
+        batch = simulate_batch(ExperimentConfig(), TRUTH, balanced_state(), 0, v.size)
+        assert np.array_equal(batch.counts_k, v < share)
+        assert np.array_equal(batch.counts_l, v >= share)
+
     def test_memory_is_output_plus_blocks(self):
         # the five output arrays take 7.3 MB at 2^20 shots; one buffer of a
-        # block's uniforms (320 kB at 2^13 shots), reused by every block,
-        # and that block's temporaries add 0.5 MB, for a peak of 7.85 MB
-        cfg = ExperimentConfig(repetitions=2**20, rng_seed=3)
-        # numpy imports its random modules on first use, outside the trace
-        simulate_batch(cfg, TRUTH, balanced_state(), n=1)
-        tracemalloc.start()
-        try:
-            simulate_batch(cfg, TRUTH, balanced_state())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8.0e6
+        # block's rows of uniforms (256 kB with round-robin bases and 384 kB
+        # with random ones, at 2^14 shots), reused by every block, and the
+        # block's temporaries add 0.5-0.6 MB, for peaks of 7.80 and 7.95 MB
+        for basis_mode in ("round_robin", "random"):
+            cfg = ExperimentConfig(repetitions=2**20, rng_seed=3, basis_mode=basis_mode)
+            # numpy imports its random modules on first use, outside the trace
+            simulate_batch(cfg, TRUTH, balanced_state(), n=1)
+            tracemalloc.start()
+            try:
+                simulate_batch(cfg, TRUTH, balanced_state())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8.0e6, basis_mode
 
 
 def same_law(x, y, cells=20):
@@ -806,7 +895,7 @@ class TestEstimator:
 
     def test_memory_is_that_of_a_slice(self):
         # the shots are binned 2^16 at a time, so the temporaries do not
-        # grow with the batch: 267 kB here, where binning all 2^20 shots at
+        # grow with the batch: 266 kB here, where binning all 2^20 shots at
         # once added 4.1 MB
         batch = simulate_batch(ExperimentConfig(repetitions=2**20, rng_seed=3),
                                TRUTH, balanced_state())
