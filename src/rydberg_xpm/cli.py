@@ -4,10 +4,12 @@ Subcommands: spectrum | blockade-phase | density-scan | tomography | fit |
 retrieval.  All physical and statistical parameters come from one JSON
 config (--config); flags exist only for file paths, the seed override and
 subcommand selection.  Outputs are CSV (header row, 17 significant digits)
-and JSON (with a config_echo block and the tool version), written
-atomically once every one of them is serialized; an output holding NaN or
-Infinity is a numerical failure and no file is written.  Identical config
-and seed produce byte-identical outputs.
+and JSON (with a config_echo block and the tool version).  Every output
+is serialized and written to a temporary file before any is renamed into
+place, so no output is published unless every output was written: an
+output holding NaN or Infinity is a numerical failure, a file that cannot
+be written a config error naming --output-dir, and then no output is
+replaced.  Identical config and seed produce byte-identical outputs.
 
 Exit codes: 0 success, else the ``exit_code`` of the RydbergXPMError that
 ended the run (2 config error, 3 numerical failure, 4 insufficient
@@ -19,11 +21,11 @@ printed once on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 from dataclasses import replace
 
@@ -58,16 +60,29 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+def _write_outputs(directory: str, texts: dict[str, str]) -> None:
+    """Write each text to its file in ``directory``: first every text to a
+    hidden per-process file beside its target, created as ``open`` creates
+    a file (mode 0666 less the umask), then each of those renamed onto its
+    target.  If a file cannot be written, the temporary files are removed,
+    no output is replaced, and the error is a ConfigError naming
+    --output-dir and the file."""
+    pending = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for name, text in texts.items():
+            path = os.path.join(directory, name)
+            pending.append((os.path.join(directory, f".{name}.{os.getpid()}.tmp"), path))
+            with open(pending[-1][0], "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for tmp, path in pending:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp, _ in pending:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError("--output-dir",
+                              f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -132,14 +147,15 @@ def cmd_spectrum(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
 
     params = cfg.eit_params()
     geom = cfg.geometry()
-    # one array for both spectra and the detuning column
-    grid = np.array(cfg.spectrum_grid())
+    mhz, grid = cfg.spectrum_points()
+    # one array for both spectra
+    grid = np.array(grid)
     eit = spectrum(params, geom, grid)
     ref = spectrum(two_level(params), geom, grid)
     table = (
         ["delta_s_mhz", "transmission_eit", "phase_eit_rad",
          "transmission_two_level", "phase_two_level_rad"],
-        [(grid / (2e6 * math.pi)).tolist(), eit.transmission.tolist(),
+        [mhz, eit.transmission.tolist(),
          eit.phase.tolist(), ref.transmission.tolist(), ref.phase.tolist()],
     )
     delta_t = _width(cfg)
@@ -183,14 +199,11 @@ def cmd_blockade_phase(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
 
 
 def cmd_density_scan(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
-    scan = density_scan(
-        cfg.eit_params(), cfg.geometry(), cfg.blockade(), cfg.delta_s,
-        cfg.density_grid(),
-    )
+    rho_cm3, rho = cfg.density_points()
+    scan = density_scan(cfg.eit_params(), cfg.geometry(), cfg.blockade(), cfg.delta_s, rho)
     table = (
         ["rho_cm3", "phase0_rad", "phase1_rad", "controlled_phase_rad"],
-        [[rho / 1e6 for rho in scan.rho], scan.phase0, scan.phase1,
-         scan.controlled_phase],
+        [rho_cm3, scan.phase0, scan.phase1, scan.controlled_phase],
     )
     def fit_dict(fit):
         return {
@@ -279,9 +292,10 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
 def cmd_retrieval(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
     exp_cfg = cfg.experiment()
     g = cfg.raw["retrieval_grid"]
+    # the delays as configured [us] and in seconds, each spaced in its unit
     delays = linspace(0.0, g["max_us"] * 1e-6, g["points"])
     eta = [retrieval_efficiency(exp_cfg, t) for t in delays]
-    table = (["delay_us", "efficiency"], [[t * 1e6 for t in delays], eta])
+    table = (["delay_us", "efficiency"], [linspace(0.0, g["max_us"], g["points"]), eta])
     tau = retrieval_time_constant(exp_cfg)
     payload = {
         "efficiency_zero_delay": exp_cfg.storage_retrieval_efficiency_zero_delay,
@@ -346,8 +360,7 @@ def main(argv=None) -> int:
                                           for w in caught):
                     print(f"warning: {text}", file=sys.stderr)
         texts = {name: _serialize(name, out, cfg) for name, out in outputs.items()}
-        for name, text in texts.items():
-            _write_atomic(os.path.join(args.output_dir, name), text)
+        _write_outputs(args.output_dir, texts)
         return 0
     except RydbergXPMError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

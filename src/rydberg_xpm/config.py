@@ -254,27 +254,35 @@ class RunConfig:
             raise ConfigError("physics.delta_s_mhz", "overflows in rad/s")
         return delta_s
 
-    def spectrum_grid(self) -> list[float]:
+    def spectrum_points(self) -> tuple[list[float], list[float]]:
+        """The spectrum detunings as configured [MHz] and in rad/s."""
         return self._grid("spectrum_grid", "min_mhz", "max_mhz", angular_from_mhz(1.0))
 
-    def density_grid(self) -> list[float]:
-        grid = self._grid("density_grid", "min_cm3", "max_cm3", 1e6)
+    def density_points(self) -> tuple[list[float], list[float]]:
+        """The scan densities as configured [cm^-3] and in m^-3."""
+        points, grid = self._grid("density_grid", "min_cm3", "max_cm3", 1e6)
         with _checked("density_grid.max_cm3"):  # the scan's medium
             replace(self.eit_params(), rho=grid[-1])
-        return grid
+        return points, grid
 
-    def _grid(self, section: str, lo: str, hi: str, scale: float) -> list[float]:
-        """``points`` values from ``lo`` to ``hi``, times ``scale``: finite and
-        strictly increasing."""
+    def density_grid(self) -> list[float]:
+        """The scan densities [m^-3]."""
+        return self.density_points()[1]
+
+    def _grid(self, section: str, lo: str, hi: str,
+              scale: float) -> tuple[list[float], list[float]]:
+        """``points`` values from ``lo`` to ``hi``, and those times ``scale``,
+        which must be finite and strictly increasing."""
         g = self.raw[section]
         if g["points"] > 1 and not g[hi] > g[lo]:
             raise ConfigError(f"{section}.{hi}", f"must exceed {lo}")
         # float(): an int key is spaced in floats, as numpy.linspace spaces it
-        grid = [scale * x for x in linspace(float(g[lo]), float(g[hi]), g["points"])]
+        points = linspace(float(g[lo]), float(g[hi]), g["points"])
+        grid = [scale * x for x in points]
         if not (all(map(math.isfinite, grid)) and all(map(operator.lt, grid, grid[1:]))):
             raise ConfigError(section, f"{g['points']} points from {lo} to {hi} "
                               "are not finite and strictly increasing in SI units")
-        return grid
+        return points, grid
 
     def experiment(self) -> ExperimentConfig:
         # the statistics keys are ExperimentConfig's fields, but for the two

@@ -17,7 +17,8 @@ whose rows of uniforms come from the numpy Generator seeded
 ``[rng_seed, block]``.  Row 0 decides storage (u < p_stored) and retrieval
 (u < p_stored p_retrieve, which implies storage: the joint law of two
 draws), row 1 the shot's total count of both ports, and row 2, drawn only
-for random bases, the basis (floor(3u), capped at 2; round-robin bases are
+for random bases, the basis (min(3u, 2) cast to int8, which is
+min(floor(3u), 2); round-robin bases are
 i % 3).  The total count is Poisson with the summed mean of the shot's
 (stored, basis) group, by CDF inversion: the number of CDF values below u.
 Most shots count nothing, so a block looks only at the shots above the
@@ -28,10 +29,12 @@ the ports, which makes their counts independent Poissons of their own
 means: after the rows, the block draws one uniform per counting shot, and
 a single photon goes to port k when it is below the group's port-k share
 lam_k / (lam_k + lam_l); then one ``Generator.binomial`` per shot that
-counts N >= 2, Bin(N, share); both in shot order.  A call draws and splits
-every block it touches whole and keeps the columns it needs, so any
-chunking or start index yields bit-identical shots.  Its memory is
-O(output + 1 block).  A shot takes 7 bytes: an int8 basis (BASIS_DTYPE),
+counts N >= 2, Bin(N, share); both in shot order.  A call allocates the
+columns of the whole blocks that cover its shots, each block writes its
+columns in place, and the call returns the views of its shots, so any
+chunking or start index yields bit-identical shots.  Its memory is the
+output, the columns of at most two partial blocks around it, and one
+block's uniforms.  A shot takes 7 bytes: an int8 basis (BASIS_DTYPE),
 two bools and two int16 counts (COUNT_DTYPE), which hold every count,
 since a count is below the size of the largest Poisson CDF (1405 entries
 at MAX_MEAN_PHOTONS_TARGET, the largest summed mean of a group).
@@ -259,9 +262,11 @@ class ShotBatch:
 
 def simulate_batch(config: ExperimentConfig, truth, input_state: PolarizationState,
                    start_index: int = 0, n: int | None = None) -> ShotBatch:
-    """Simulate shots [start_index, start_index + n) of the experiment, one
-    block at a time (module docstring).  truth is the tuple (od0, phi0, od1,
-    phi1) of medium responses without and with a stored control excitation."""
+    """Simulate shots [start_index, start_index + n) of the experiment:
+    every block that covers them fills its own slice of the output columns
+    (module docstring), and the batch is the views of those shots.  truth is
+    the tuple (od0, phi0, od1, phi1) of medium responses without and with a
+    stored control excitation."""
     import numpy as np
 
     if n is None:
@@ -272,46 +277,38 @@ def simulate_batch(config: ExperimentConfig, truth, input_state: PolarizationSta
     round_robin = config.basis_mode == "round_robin"
     table = _count_table(tuple(_port_lambdas(config, truth, input_state)))
     share = table[-1]
-    # the counts are zeroed, and only the shots that count are written
-    fields = [np.empty(n, dtype=dtype) for dtype in (BASIS_DTYPE, bool, bool)]
-    fields += [np.zeros(n, dtype=COUNT_DTYPE) for port in range(2)]
-    # one block's rows of uniforms, stored shots and groups, reused by every
-    # block; round-robin bases are a slice of the pattern 0, 1, 2, 0, ...
+    # the columns of the whole blocks that cover the call; the counts are
+    # zeroed, and only the shots that count are written
+    blocks = range(start_index // _BLOCK_SHOTS, -(-(start_index + n) // _BLOCK_SHOTS))
+    size = len(blocks) * _BLOCK_SHOTS
+    fields = [np.empty(size, dtype=dtype) for dtype in (BASIS_DTYPE, bool, bool)]
+    fields += [np.zeros(size, dtype=COUNT_DTYPE) for port in range(2)]
+    # one block's rows of uniforms and groups, reused by every block;
+    # round-robin bases are a slice of the pattern 0, 1, 2, 0, ...
     u = np.empty((2 if round_robin else 3, _BLOCK_SHOTS))
-    stored = np.empty(_BLOCK_SHOTS, dtype=bool)
     group = np.empty(_BLOCK_SHOTS, dtype=BASIS_DTYPE)
     pattern = np.tile(np.arange(3, dtype=BASIS_DTYPE), _BLOCK_SHOTS // 3 + 2)
-    end = start_index + n
-    for block in range(start_index // _BLOCK_SHOTS, -(-end // _BLOCK_SHOTS)):
-        first = block * _BLOCK_SHOTS
+    for j, block in enumerate(blocks):
+        basis, stored, retrieved, counts_k, counts_l = (
+            f[j * _BLOCK_SHOTS:(j + 1) * _BLOCK_SHOTS] for f in fields)
         rng = np.random.default_rng([config.rng_seed, block])
         rng.random(out=u)
         if round_robin:
-            basis = pattern[first % 3:][:_BLOCK_SHOTS]
-        else:  # min(floor(3u), 2), with no float temporary
-            basis = np.multiply(u[2], 3.0, out=u[2]).astype(BASIS_DTYPE)
-            np.minimum(basis, 2, out=basis)
+            basis[:] = pattern[block * _BLOCK_SHOTS % 3:][:_BLOCK_SHOTS]
+        else:  # min(3u, 2) cast to int8 is min(floor(3u), 2)
+            np.minimum(np.multiply(u[2], 3.0, out=u[2]), 2.0, out=basis, casting="unsafe")
         np.less(u[0], p_stored, out=stored)
+        np.less(u[0], p_retrieved, out=retrieved)
         # a bool is one byte of 0 or 1, so the groups stay int8
         np.add(basis, 3 * stored.view(BASIS_DTYPE), out=group)
-        # every counting shot of the block is split, whatever the call keeps,
-        # so that the variates drawn after the rows are the same in any call
         hit, g, total, deep = _total_counts(table, group, u[1])
         p = share.take(g)
         k = (rng.random(hit.size) < p).astype(COUNT_DTYPE)
         k.put(deep, rng.binomial(total.take(deep), p.take(deep)))
-        a, b = max(start_index, first) - first, min(end, first + _BLOCK_SHOTS) - first
-        basis_out, stored_out, retrieved_out, counts_k, counts_l = (
-            f[first - start_index + a:first - start_index + b] for f in fields)
-        basis_out[:] = basis[a:b]
-        stored_out[:] = stored[a:b]
-        np.less(u[0, a:b], p_retrieved, out=retrieved_out)
-        if b - a < _BLOCK_SHOTS:  # the counting shots in [a, b), from a
-            keep = np.flatnonzero((hit >= a) & (hit < b))
-            hit, total, k = hit.take(keep) - a, total.take(keep), k.take(keep)
         counts_k.put(hit, k)
         counts_l.put(hit, total - k)
-    return ShotBatch(*fields)
+    offset = start_index - blocks.start * _BLOCK_SHOTS
+    return ShotBatch(*(f[offset:offset + n] for f in fields))
 
 
 @functools.lru_cache(maxsize=16)

@@ -65,6 +65,12 @@ class TestConfigHandling:
         assert code == 2
         assert "detection_efficiency" in capsys.readouterr().err
 
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code = main(["spectrum", "--config", str(path), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert f"config error: <file>: cannot read {path}" in capsys.readouterr().err
+
     def test_invalid_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -111,6 +117,36 @@ class TestOutputDirectory:
         assert f"--output-dir: cannot create {target}" in capsys.readouterr().err
         assert blocker.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_outputs_get_the_umask(self, tmp_path):
+        # 0666 less the umask, as any file the user creates
+        umask = os.umask(0o022)
+        try:
+            assert main(["retrieval", "--output-dir", str(tmp_path)]) == 0
+        finally:
+            os.umask(umask)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == {"retrieval.csv": 0o644, "retrieval.json": 0o644}
+
+    def test_failed_write_exits_2_and_leaves_nothing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the second output cannot be written: the first is not published
+        # either, and no temporary file is left
+        real_open = open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if "w" in mode and "retrieval.json" in os.path.basename(file):
+                raise PermissionError(13, "Permission denied", file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", failing_open)
+        code = main(["retrieval", "--output-dir", str(tmp_path)])
+        monkeypatch.undo()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"config error: --output-dir: cannot write "
+                f"{tmp_path / 'retrieval.json'}: Permission denied") in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNonFiniteOutputs:
@@ -407,6 +443,20 @@ class TestFitCommand:
             outputs.append(json.dumps(payload, sort_keys=True))
         assert outputs[0] == outputs[1]
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # blank and whitespace-only lines, also after the header and at the
+        # end, give the fit.json of the file without them
+        csv = Path(self._write_synthetic(tmp_path))
+        lines = csv.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join([lines[0], "", *lines[1:60], "   ", "\t",
+                                     *lines[60:], " "]) + "\n\n")
+        for path, name in ((csv, "plain"), (spaced, "spaced")):
+            assert main(["fit", "--input", str(path),
+                         "--output-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "plain" / "fit.json").read_bytes()
+                == (tmp_path / "spaced" / "fit.json").read_bytes())
+
     def test_missing_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("delta_s_mhz,transmission\n0,1\n")
@@ -422,6 +472,7 @@ class TestFitCommand:
         ("7 rows", "need at least 8 spectrum points"),
         ("decreasing", "delta_s must be strictly increasing"),
         ("sigma 0", "sigma must be positive"),
+        ("header only", "no data rows"),
     ])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, kind, expected):
         """Input the fit cannot use is a config error naming the file."""
@@ -436,6 +487,8 @@ class TestFitCommand:
                 rows = rows[:7]
             elif kind == "decreasing":
                 rows = rows[::-1]
+            elif kind == "header only":
+                rows = []
             else:
                 rows[4] = (4, 0.5, 0.0)
             path.write_text("delta_s_mhz,transmission,sigma\n"
@@ -511,6 +564,16 @@ class TestRetrievalCommand:
         assert rows[0, 1] == 0.2 and np.all(rows[1:, 1] == 0.0)
         assert read_finite_json(tmp_path / "retrieval.json")["tau_us"] is None
 
+    def test_efficiency_that_does_not_decay(self, tmp_path):
+        cfg = write_config(
+            tmp_path, {"statistics": {"storage_retrieval_efficiency_delayed": 0.2}}
+        )
+        code = main(["retrieval", "--config", cfg, "--output-dir", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "retrieval.csv")
+        assert np.all(rows[:, 1] == 0.2)
+        assert read_finite_json(tmp_path / "retrieval.json")["tau_us"] is None
+
     def test_endpoints(self, tmp_path):
         code = main(["retrieval", "--output-dir", str(tmp_path)])
         assert code == 0
@@ -521,6 +584,34 @@ class TestRetrievalCommand:
         # the 4.5 us grid row holds the measured delayed efficiency
         i = np.argmin(np.abs(rows[:, 0] - 4.5))
         assert rows[i, 1] == pytest.approx(0.07, abs=1e-6)
+
+
+class TestGridColumns:
+    # a grid column holds the configured points, linspace(lo, hi, points)
+    # in the config's units, with no round trip through SI units
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"spectrum_grid": {"min_mhz": -7.3, "max_mhz": 11.9, "points": 37},
+         "density_grid": {"min_cm3": 4110000000.0000005, "max_cm3": 36990000000.00001,
+                          "points": 8},
+         "retrieval_grid": {"max_us": 0.7, "points": 8}},
+        {"spectrum_grid": {"min_mhz": -12, "max_mhz": 4, "points": 1001},
+         "density_grid": {"min_cm3": 100000000000, "max_cm3": 300000000000, "points": 3},
+         "retrieval_grid": {"max_us": 25, "points": 1}},
+    ])
+    def test_first_column_is_the_configured_grid(self, tmp_path, overrides):
+        cfg = write_config(tmp_path, overrides)
+        raw = RunConfig(overrides).raw
+        for command, name, section, lo, hi in [
+            ("spectrum", "spectrum.csv", "spectrum_grid", "min_mhz", "max_mhz"),
+            ("density-scan", "density_scan.csv", "density_grid", "min_cm3", "max_cm3"),
+            ("retrieval", "retrieval.csv", "retrieval_grid", None, "max_us"),
+        ]:
+            assert main([command, "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+            _, rows = read_csv(tmp_path / name)
+            g = raw[section]
+            want = np.linspace(g[lo] if lo else 0.0, g[hi], g["points"])
+            assert rows[:, 0].tolist() == want.tolist(), name
 
 
 class TestReproducibility:

@@ -73,7 +73,9 @@ SPECTRA = {"flat10": flat_csv(10), "flat20": flat_csv(20), "model": model_csv(),
 def run(tmp: Path, command: str, overrides, spectrum: str, extra=()) -> int:
     """``main`` on ``command`` with ``overrides`` as the config file and
     ``spectrum`` as the fit input."""
-    (tmp / "config.json").write_text(json.dumps(overrides))
+    # a str is the config file's text, for JSON that json.dumps would not write
+    (tmp / "config.json").write_text(
+        overrides if isinstance(overrides, str) else json.dumps(overrides))
     (tmp / "measured.csv").write_text(spectrum)
     argv = [command, "--config", str(tmp / "config.json"),
             "--output-dir", str(tmp / "out"), *extra]
@@ -134,6 +136,22 @@ def run(tmp: Path, command: str, overrides, spectrum: str, extra=()) -> int:
     ("blockade-phase", {"blockade": {"c6_atomic_units": 1e-35},
                         "geometry": {"length_um": 1e300, "excitation_z_um": 5e299}},
      "-", (0,), ""),
+    ("spectrum", {"spectrum_grid": {"points": True}}, "-", (2,),
+     "config error: spectrum_grid.points: expected int, got bool"),
+    # NaN, Infinity and 1e999 parse as floats that are not finite; the
+    # integer is beyond the float range
+    *[pytest.param("retrieval", f'{{"physics": {{"density_cm3": {value}}}}}', "-",
+                   (2,), "config error: physics.density_cm3: must be finite",
+                   id=f"retrieval-density_cm3-{name}")
+      for name, value in (("NaN", "NaN"), ("Infinity", "Infinity"), ("1e999", "1e999"),
+                          ("10**400", "1" + "0" * 400))],
+    ("spectrum", {"physics": {"delta_s_mhz": 1e303}}, "-", (2,),
+     "config error: physics.delta_s_mhz: overflows in rad/s"),
+    ("spectrum", {"spectrum_grid": {"min_mhz": 5.0, "max_mhz": 5.0}}, "-", (2,),
+     "config error: spectrum_grid.max_mhz: must exceed min_mhz"),
+    ("spectrum", {"spectrum_grid": {"min_mhz": -1e303, "max_mhz": 1e303}}, "-", (2,),
+     "config error: spectrum_grid: 241 points from min_mhz to max_mhz are not "
+     "finite and strictly increasing in SI units"),
 ])
 def test_edge_config_exit_code(tmp_path, capsys, command, overrides, spectrum,
                                codes, message):
