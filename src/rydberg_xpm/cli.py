@@ -243,6 +243,7 @@ def cmd_tomography(cfg: RunConfig, args: argparse.Namespace | None) -> dict:
         },
         "counts": {k: list(v) for k, v in summary.counts.items()},
         "azimuth_rad": est.phi,
+        "azimuth_stderr_rad": summary.azimuth_stderr,
         "visibility": visibility(est),
         "n_postselected": summary.n_postselected,
         "n_total": summary.n_total,

@@ -195,6 +195,18 @@ class CountSummary:
     n_postselected: int
     n_total: int
 
+    @property
+    def azimuth_stderr(self) -> float | None:
+        """Standard error of the azimuth ``stokes.phi`` [rad], propagated
+        from the S_HV and S_DA errors: sqrt((S_DA sigma_HV)^2 +
+        (S_HV sigma_DA)^2) / (S_HV^2 + S_DA^2).  None where S_HV = S_DA = 0,
+        whose azimuth is undefined."""
+        s_hv, s_da = self.stokes.s_hv, self.stokes.s_da
+        radius2 = s_hv**2 + s_da**2
+        if radius2 == 0.0:
+            return None
+        return math.hypot(s_da * self.stderr[0], s_hv * self.stderr[1]) / radius2
+
 
 def _cdf_size(lam: float) -> int:
     """The entries of the Poisson(lam) CDF table, for k = 0 up to

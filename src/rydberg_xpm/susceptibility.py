@@ -22,8 +22,9 @@ namespace ``xp``: numpy for arrays, and for plain Python numbers
 ``_Numbers``, which has numpy's names and numpy's bits (its division is
 numpy's complex128 formula, ``_quotient``).  So ``chi`` at Python numbers
 imports no numpy, and gives the bits of the same detuning in an array.
-numpy is imported only where an array is built: by ``spectrum``,
-``transmission`` and the width search.
+numpy is imported only where an array is built: by ``spectrum`` and
+``transmission``.  The width search, ``transmission_fwhm``, evaluates chi
+one plain number at a time and imports no numpy.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ if TYPE_CHECKING:
 _MIN_HEIGHT = 1e-6
 _PEAK_XTOL = 1e-10
 _EDGE_XTOL = 1e-9
+# width search: the grid that brackets the peak, over the transparency window
+_PEAK_GRID_POINTS = 161
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
 
 
@@ -283,16 +286,6 @@ def spectrum(params: EITParams, geom: MediumGeometry, delta_s_grid) -> SpectrumT
     return SpectrumTable(transmission=transmission(od), phase=phase)
 
 
-def _feature_height(params: EITParams, geom: MediumGeometry, ds):
-    """Transmission height of the EIT feature above the two-level background
-    at detuning(s) ``ds``: one chi call, at shifts 0 and infinity."""
-    import numpy as np
-
-    shift = np.array([0.0, math.inf]).reshape((2,) + (1,) * np.ndim(ds))
-    t_eit, t_bg = transmission(od_and_phase(chi(params, ds, shift), geom)[0])
-    return t_eit - t_bg
-
-
 def _golden_max(f, a: float, b: float, xtol: float) -> tuple[float, float]:
     """(x, f(x)) at the maximum of a unimodal f on [a, b], by golden-section
     search down to a bracket of width ``xtol`` (or 1e-14 relative)."""
@@ -315,15 +308,18 @@ def transmission_fwhm(params: EITParams, geom: MediumGeometry) -> float:
     """Full width at half maximum of the EIT transmission feature [rad/s].
 
     The feature height is measured relative to the two-level background at
-    the same detuning.  A 401-point grid around the two-photon resonance
+    the same detuning: one chi call at shift 0 and one at shift infinity.
+    A grid of ``_PEAK_GRID_POINTS`` points around the two-photon resonance
     Delta_s = -Delta_c brackets the peak, which golden-section search then
     locates to 1e-10 gamma_e.  Each half-height edge is bracketed by steps
-    doubling away from the peak and bisected to 1e-9 gamma_e.
+    doubling away from the peak, up to the first below half height, and
+    bisected to 1e-9 gamma_e.  Every point is a plain number, so the search
+    imports no numpy.
 
     Raises NoEITFeatureError when the coupling beam is off or the peak does
     not exceed the background by 1e-6.
     """
-    import numpy as np
+    from .config import linspace  # config imports this module
 
     if params.omega_c == 0.0:
         raise NoEITFeatureError("no EIT feature: omega_c = 0")
@@ -334,15 +330,17 @@ def transmission_fwhm(params: EITParams, geom: MediumGeometry) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExactEITWarning)
 
-        def height(ds):
-            return _feature_height(params, geom, ds)
+        def height(ds: float) -> float:
+            od_eit = od_and_phase(chi(params, ds, 0.0), geom)[0]
+            od_bg = od_and_phase(chi(params, ds, math.inf), geom)[0]
+            return math.exp(-od_eit) - math.exp(-od_bg)
 
-        grid = np.linspace(center - half_span, center + half_span, 401)
-        i_pk = int(np.argmax(height(grid)))
+        grid = linspace(center - half_span, center + half_span, _PEAK_GRID_POINTS)
+        i_pk = max(range(_PEAK_GRID_POINTS), key=lambda i: height(grid[i]))
         peak, h_peak = _golden_max(
             height,
             grid[max(i_pk - 1, 0)],
-            grid[min(i_pk + 1, grid.size - 1)],
+            grid[min(i_pk + 1, _PEAK_GRID_POINTS - 1)],
             _PEAK_XTOL * params.gamma_e,
         )
         if not h_peak > _MIN_HEIGHT:
@@ -351,20 +349,25 @@ def transmission_fwhm(params: EITParams, geom: MediumGeometry) -> float:
                 f"is below the measurable margin {_MIN_HEIGHT:.1e}"
             )
         half = h_peak / 2.0
-        # bracket each edge (rows: left, right) between the last of the
-        # doubling steps away from the peak above half height and the first below
-        sides = np.array([[-1.0], [1.0]])
-        offsets = params.gamma_e / 16.0 * np.r_[0.0, 2.0 ** np.arange(200)]
-        below = height(peak + sides * offsets[1:]) < half
-        if not below.any(axis=1).all():
-            raise NoEITFeatureError("EIT feature has no half-height crossing")
-        k = np.argmax(below, axis=1)[:, None]
-        inside, outside = (peak + sides * offsets[np.hstack((k, k + 1))]).T
-        xtol = _EDGE_XTOL * params.gamma_e + 1e-14 * np.abs(inside)
-        while np.any(np.abs(outside - inside) > xtol):
-            mid = 0.5 * (inside + outside)
-            above = height(mid) >= half
-            inside = np.where(above, mid, inside)
-            outside = np.where(above, outside, mid)
-    left, right = 0.5 * (inside + outside)
-    return float(right - left)
+        edges = []
+        for side in (-1.0, 1.0):
+            # bracket the edge between the last of the doubling steps away
+            # from the peak above half height and the first below
+            inside = peak
+            for k in range(200):
+                outside = peak + side * (params.gamma_e / 16.0 * 2.0**k)
+                if height(outside) < half:
+                    break
+                inside = outside
+            else:
+                raise NoEITFeatureError("EIT feature has no half-height crossing")
+            xtol = _EDGE_XTOL * params.gamma_e + 1e-14 * abs(inside)
+            while abs(outside - inside) > xtol:
+                mid = 0.5 * (inside + outside)
+                if height(mid) >= half:
+                    inside = mid
+                else:
+                    outside = mid
+            edges.append(0.5 * (inside + outside))
+    left, right = edges
+    return right - left

@@ -347,6 +347,14 @@ class TestTomographyCommand:
         assert {key: out[key] for key in expected} == expected
         assert out["n_total"] == 60000
 
+    def test_azimuth_stderr_is_propagated_from_the_stokes_errors(self, tmp_path):
+        assert main(["tomography", "--output-dir", str(tmp_path)]) == 0
+        out = read_json(tmp_path / "tomography.json")
+        s, e = out["stokes_estimate"], out["stokes_stderr"]
+        expected = (math.sqrt((s["s_da"] * e["s_hv"])**2 + (s["s_hv"] * e["s_da"])**2)
+                    / (s["s_hv"]**2 + s["s_da"]**2))
+        assert out["azimuth_stderr_rad"] == pytest.approx(expected, rel=1e-14)
+
     def test_huge_target_mean_exits_2_before_any_table(self, tmp_path, capsys,
                                                        monkeypatch):
         def no_table(lam):

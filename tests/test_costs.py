@@ -2,16 +2,17 @@
 loads, and how many model evaluations a fit makes.
 
 Each subcommand runs in a fresh interpreter, because the tests load numpy
-and scipy here.  ``tomography``, ``retrieval`` and ``density-scan`` handle
-a few Python numbers each, so they must run without ever importing numpy.
+and scipy here.  ``tomography``, ``retrieval``, ``density-scan`` and
+``blockade-phase`` handle a few Python numbers each, so they must run
+without ever importing numpy.
 Every module count is an upper bound at the value measured when it was
 last lowered (CPython 3.11, numpy 2.4): a change that lowers a count lowers
-its bound.  Other counters: 72 ``chi`` calls per default width search
-(``tests/test_susceptibility.py``), at most 600 uniforms per tally
-(``TestTally`` in ``tests/test_photostatistics.py``), and the tracemalloc
-peaks of the per-shot model pinned there.  The per-shot model's own
-counters here are its ``searchsorted`` calls and the uniforms it draws per
-block of shots.
+its bound.  Other counters: 534 (detuning, shift) points evaluated per
+default width search (``tests/test_susceptibility.py``), at most 600
+uniforms per tally (``TestTally`` in ``tests/test_photostatistics.py``),
+and the tracemalloc peaks of the per-shot model pinned there.  The
+per-shot model's own counters here are its ``searchsorted`` calls and the
+uniforms it draws per block of shots.
 """
 
 import json
@@ -44,13 +45,13 @@ IMPORT_MODULES = 133
 # subcommand -> modules loaded once it has run
 MODULES = {
     "spectrum": 232,
-    "blockade-phase": 232,
+    "blockade-phase": 135,
     "density-scan": 136,
     "tomography": 136,
     "fit": 233,
     "retrieval": 135,
 }
-NUMPY_FREE = ("density-scan", "tomography", "retrieval")
+NUMPY_FREE = ("blockade-phase", "density-scan", "tomography", "retrieval")
 # 6 iterations of 4 central differences (8 calls) and a step, plus the start
 MODEL_EVALUATIONS_PER_FIT = 54
 # one search per block for the total counts of 2 or more

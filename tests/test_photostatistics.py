@@ -758,6 +758,29 @@ class TestTally:
         assert all(isinstance(v, int) for pair in summary.counts.values()
                    for v in pair)
 
+    def test_azimuth_stderr_is_the_delta_method(self):
+        for seed in range(5):
+            summary = tally_stokes(ExperimentConfig(rng_seed=seed), TRUTH,
+                                   balanced_state(), True)
+            assert summary.azimuth_stderr == pytest.approx(azimuth_sigma(summary),
+                                                           rel=1e-14)
+
+    def test_azimuth_stderr_covers_the_truth(self):
+        # the default tally over 2000 fixed seeds: z = (azimuth - truth) /
+        # sigma had mean -0.03, sd 1.009 and |z| > 2 in 4.8 % when written,
+        # against 4.55 % for a normal z; a sample sd of 2000 normal draws
+        # lies within 0.1 of 1 with odds far beyond FALSE_ALARM
+        z = []
+        for seed in range(2000):
+            cfg = ExperimentConfig(rng_seed=seed)
+            summary = tally_stokes(cfg, TRUTH, balanced_state(), True)
+            truth = truth_stokes(cfg, TRUTH[2], TRUTH[3], balanced_state())
+            z.append(angle_diff(summary.stokes.phi, truth.phi) / summary.azimuth_stderr)
+        z = np.array(z)
+        assert abs(z.mean()) < 0.1
+        assert 0.9 < z.std() < 1.1
+        assert np.mean(np.abs(z) > 2) < 0.07
+
     def test_names_the_empty_basis(self):
         cfg = ExperimentConfig(detection_efficiency=0.0, repetitions=300)
         with pytest.raises(InsufficientStatisticsError) as err:
@@ -856,6 +879,7 @@ class TestEstimator:
         s = summary.stokes
         assert (s.s_hv, s.s_da, s.s_lr) == (0.0, 0.0, 0.0)
         assert s.s0 == 0.0
+        assert summary.azimuth_stderr is None
 
     def test_empty_basis_names_the_basis(self):
         batch = retrieved_batch([0, 1, 2], [1, 0, 1], [0, 0, 0])

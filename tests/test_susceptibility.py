@@ -5,15 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rydberg_xpm import defaults, susceptibility
+from rydberg_xpm.config import RunConfig
 from rydberg_xpm.constants import angular_from_mhz, mhz_from_angular
 from rydberg_xpm.errors import ConfigError, ExactEITWarning, NoEITFeatureError
 from rydberg_xpm.susceptibility import (
+    _EDGE_XTOL,
+    _MIN_HEIGHT,
+    _PEAK_XTOL,
     EITParams,
     MediumGeometry,
+    _golden_max,
     chi,
     chi0,
     normalized_chi,
@@ -248,6 +253,97 @@ def grid_fwhm(params, geom, n=400001, span_mhz=60.0):
     return float(ds[right] - ds[left])
 
 
+# The width search as an array search: every grid point and doubling step
+# in one chi call, both edges bisected together.  The oracle of the search
+# over plain numbers.
+
+
+def array_feature_height(params: EITParams, geom: MediumGeometry, ds):
+    """Transmission height of the EIT feature above the two-level background
+    at detuning(s) ``ds``: one chi call, at shifts 0 and infinity."""
+    import numpy as np
+
+    shift = np.array([0.0, math.inf]).reshape((2,) + (1,) * np.ndim(ds))
+    t_eit, t_bg = transmission(od_and_phase(chi(params, ds, shift), geom)[0])
+    return t_eit - t_bg
+
+
+def array_transmission_fwhm(params: EITParams, geom: MediumGeometry) -> float:
+    """Full width at half maximum of the EIT transmission feature [rad/s].
+
+    The feature height is measured relative to the two-level background at
+    the same detuning.  A 401-point grid around the two-photon resonance
+    Delta_s = -Delta_c brackets the peak, which golden-section search then
+    locates to 1e-10 gamma_e.  Each half-height edge is bracketed by steps
+    doubling away from the peak and bisected to 1e-9 gamma_e.
+
+    Raises NoEITFeatureError when the coupling beam is off or the peak does
+    not exceed the background by 1e-6.
+    """
+    import numpy as np
+
+    if params.omega_c == 0.0:
+        raise NoEITFeatureError("no EIT feature: omega_c = 0")
+    # the transparency feature lies between the dressed absorption lines at
+    # roughly +-omega_c/2 around the two-photon resonance
+    center = -params.delta_c
+    half_span = 0.5 * max(params.omega_c, params.gamma_e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactEITWarning)
+
+        def height(ds):
+            return array_feature_height(params, geom, ds)
+
+        grid = np.linspace(center - half_span, center + half_span, 401)
+        i_pk = int(np.argmax(height(grid)))
+        peak, h_peak = _golden_max(
+            height,
+            grid[max(i_pk - 1, 0)],
+            grid[min(i_pk + 1, grid.size - 1)],
+            _PEAK_XTOL * params.gamma_e,
+        )
+        if not h_peak > _MIN_HEIGHT:
+            raise NoEITFeatureError(
+                f"no EIT feature: peak height {h_peak:.3e} above background "
+                f"is below the measurable margin {_MIN_HEIGHT:.1e}"
+            )
+        half = h_peak / 2.0
+        # bracket each edge (rows: left, right) between the last of the
+        # doubling steps away from the peak above half height and the first below
+        sides = np.array([[-1.0], [1.0]])
+        offsets = params.gamma_e / 16.0 * np.r_[0.0, 2.0 ** np.arange(200)]
+        below = height(peak + sides * offsets[1:]) < half
+        if not below.any(axis=1).all():
+            raise NoEITFeatureError("EIT feature has no half-height crossing")
+        k = np.argmax(below, axis=1)[:, None]
+        inside, outside = (peak + sides * offsets[np.hstack((k, k + 1))]).T
+        xtol = _EDGE_XTOL * params.gamma_e + 1e-14 * np.abs(inside)
+        while np.any(np.abs(outside - inside) > xtol):
+            mid = 0.5 * (inside + outside)
+            above = height(mid) >= half
+            inside = np.where(above, mid, inside)
+            outside = np.where(above, outside, mid)
+    left, right = 0.5 * (inside + outside)
+    return float(right - left)
+
+
+def search_outcome(search, params, geom):
+    """The width a search finds, or None where it finds no EIT feature."""
+    try:
+        return search(params, geom)
+    except NoEITFeatureError:
+        return None
+
+
+def peak_height(params, geom) -> float:
+    """The largest feature height on a 4001-point grid across the window."""
+    half_span = 0.5 * max(params.omega_c, params.gamma_e)
+    grid = np.linspace(-params.delta_c - half_span, -params.delta_c + half_span, 4001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactEITWarning)
+        return float(np.max(array_feature_height(params, geom, grid)))
+
+
 class TestTransmissionFWHM:
     def test_no_coupling_raises(self, params, geom):
         with pytest.raises(NoEITFeatureError):
@@ -272,18 +368,58 @@ class TestTransmissionFWHM:
         width_mhz = mhz_from_angular(transmission_fwhm(params, geom))
         assert width_mhz == pytest.approx(3.7, rel=0.02)
 
-    def test_default_search_makes_at_most_72_chi_calls(self, params, geom,
-                                                        monkeypatch):
-        # one chi call per feature height, at shifts 0 and infinity
-        calls = []
+    def test_default_search_evaluates_at_most_534_points(self, params, geom,
+                                                          monkeypatch):
+        # a chi call evaluates the (detuning, shift) points its arguments
+        # broadcast to: one point at plain numbers
+        points = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return chi(*args, **kwargs)
+        def counted(params, delta_s, shift=0.0):
+            points.append(np.broadcast(delta_s, shift).size)
+            return chi(params, delta_s, shift)
 
         monkeypatch.setattr(susceptibility, "chi", counted)
         transmission_fwhm(params, geom)
-        assert len(calls) <= 72
+        assert sum(points) <= 534
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        oc_mhz=st.floats(0.01, 40.0),
+        grg_mhz=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2), st.floats(0.0, 5.0)),
+        dc_mhz=st.floats(-20.0, 20.0),
+        density_scale=st.floats(0.01, 10.0),
+        margin=st.one_of(st.none(), st.floats(0.98, 1.02)),
+    )
+    # exact EIT, a narrow feature at exact EIT (Omega_c << Gamma_e), and the
+    # default medium thinned to within 0.1 % of the height margin
+    @example(oc_mhz=11.556026135894836, grg_mhz=0.0, dc_mhz=9.15,
+             density_scale=1.0, margin=None)
+    @example(oc_mhz=0.05, grg_mhz=0.0, dc_mhz=0.0, density_scale=1.0, margin=None)
+    @example(oc_mhz=0.05, grg_mhz=1e-6, dc_mhz=2.0, density_scale=1.0, margin=None)
+    @example(oc_mhz=11.556026135894836, grg_mhz=0.2, dc_mhz=9.15,
+             density_scale=1.0, margin=0.999)
+    @example(oc_mhz=11.556026135894836, grg_mhz=0.2, dc_mhz=9.15,
+             density_scale=1.0, margin=1.001)
+    def test_matches_array_search(self, oc_mhz, grg_mhz, dc_mhz, density_scale,
+                                  margin):
+        # the same width within 2e-9 gamma_e, and the same media without a
+        # feature; ``margin`` scales the density so that the peak height is
+        # about ``margin`` times the 1e-6 margin
+        geom = RunConfig().geometry()
+        params = defaults.eit_params(omega_c_mhz=oc_mhz, gamma_rg_mhz=grg_mhz,
+                                     delta_c_mhz=dc_mhz)
+        params = replace(params, rho=density_scale * params.rho)
+        if margin is not None:
+            for _ in range(2):
+                height = peak_height(params, geom)
+                if not height > 0.0:
+                    break
+                params = replace(params, rho=params.rho * margin * 1e-6 / height)
+        expected = search_outcome(array_transmission_fwhm, params, geom)
+        width = search_outcome(transmission_fwhm, params, geom)
+        assert (width is None) == (expected is None)
+        if width is not None:
+            assert abs(width - expected) <= 2e-9 * params.gamma_e
 
     def test_default_width_matches_calibration_target(self, params, geom):
         # OMEGA_C_MHZ was solved for FEATURE_FWHM_MHZ; the width at the
